@@ -17,8 +17,8 @@ Subcommands:
   with ``--disable TP003``).
 * ``mutants`` — self-validate the TP2xx domain pass and the TP3xx
   protocol pass: apply the seeded mutants from
-  :mod:`repro.analysis.mutants` to a throwaway copy of ``src`` and
-  fail unless every mutant is flagged while the pristine copy stays
+  :mod:`repro.analysis.mutants` to an in-memory image of ``src`` and
+  fail unless every mutant is flagged while the pristine tree stays
   clean.
 * ``rules`` — print every rule family (TP0xx lint, TP1xx flow, TP2xx
   domain, TP3xx typestate, SAN sanitizer), grouped and sorted, with
@@ -36,10 +36,10 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .checkers import SAN_RULES
 from .flow import (DOMAIN_RULES, FLOW_RULES, PROTOCOL_RULES, Project,
-                   analyze_project, to_sarif)
+                   analyze_tree, to_sarif)
 from .flow.sarif import default_rule_table
-from .lint import (Finding, RULES, lint_parsed, load_baseline,
-                   partition_findings, write_baseline)
+from .lint import (Finding, RULES, load_baseline, partition_findings,
+                   write_baseline)
 from .mutants import MUTANTS, MutantApplyError, run_mutants
 
 #: default baseline location, relative to the invocation directory
@@ -102,10 +102,10 @@ def _build_parser() -> argparse.ArgumentParser:
                         "corpus")
     mutants.add_argument(
         "--src", default="src", metavar="DIR",
-        help="source tree to copy and mutate (default: src)")
+        help="source tree to mutate in memory (default: src)")
     mutants.add_argument(
         "--baseline", default=DEFAULT_BASELINE,
-        help=f"baseline used for the pristine-copy clean check "
+        help=f"baseline used for the pristine-tree clean check "
              f"(default: {DEFAULT_BASELINE})")
     mutants.add_argument(
         "--format", choices=("text", "json"), default="text",
@@ -136,8 +136,8 @@ def _collect_findings(args: argparse.Namespace,
     """Every pass over the requested trees, rule-filtered and sorted.
 
     The trees are read and parsed exactly once into a flow project;
-    the TP0xx lint visits the same trees via :func:`lint_parsed` and
-    the TP1xx/TP2xx/TP3xx passes share the project and its call graph.
+    :func:`~repro.analysis.flow.analyze_tree` runs the TP0xx lint on
+    the same trees and the TP1xx/TP2xx/TP3xx passes on the project.
     Returns the findings plus the per-pass wall-clock timings.
     """
     disabled = _disabled_codes(args.disable)
@@ -145,14 +145,8 @@ def _collect_findings(args: argparse.Namespace,
     started = time.perf_counter()  # tp: allow=TP002 - host-side stats
     project = Project.from_paths(args.paths, exclude=args.exclude)
     timings["parse"] = time.perf_counter() - started  # tp: allow=TP002 - host-side stats
-    started = time.perf_counter()  # tp: allow=TP002 - host-side stats
-    findings = lint_parsed(
-        (module.path, module.source_lines, module.tree)
-        for module in project.modules.values())
-    timings["lint"] = time.perf_counter() - started  # tp: allow=TP002 - host-side stats
-    findings += analyze_project(project, timings=timings)
-    findings = [f for f in findings if f.rule not in disabled]
-    findings.sort(key=lambda f: (f.path, f.line, f.rule))
+    findings = [f for f in analyze_tree(project, timings=timings)
+                if f.rule not in disabled]
     return findings, timings
 
 
@@ -271,13 +265,13 @@ def _run_mutants(args: argparse.Namespace) -> int:
     status = sys.stdout if args.format_ == "text" else sys.stderr
     if report.pristine_new:
         print(f"{len(report.pristine_new)} finding(s) on the pristine "
-              "copy beyond the baseline", file=status)
+              "tree beyond the baseline", file=status)
     if report.survivors:
         print(f"{len(report.survivors)} mutant(s) survived",
               file=status)
     if report.ok:
         print(f"all {len(report.results)} mutant(s) killed; pristine "
-              "copy clean", file=status)
+              "tree clean", file=status)
     return 0 if report.ok else 1
 
 

@@ -26,7 +26,7 @@ from .cfg import CFG, build_cfg
 from .domains import DOMAIN_RULES, check_domains
 from .engine import FlowEngine, fixed_point
 from .rules import (FLOW_RULES, PROTOCOL_RULES, analyze_paths,
-                    analyze_project, analyze_source)
+                    analyze_project, analyze_source, analyze_tree)
 from .sarif import to_sarif
 from .typestate import (ORDER_SPECS, PROTOCOL_SPECS, OrderSpec,
                         ProtocolSpec, check_protocols)
@@ -45,6 +45,7 @@ __all__ = [
     "analyze_paths",
     "analyze_project",
     "analyze_source",
+    "analyze_tree",
     "build_cfg",
     "check_domains",
     "check_protocols",

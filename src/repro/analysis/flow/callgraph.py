@@ -27,19 +27,28 @@ from __future__ import annotations
 
 import ast
 import pathlib
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (TYPE_CHECKING, Deque, Dict, Iterable, List, Mapping,
+                    Optional, Sequence, Set, Tuple)
 
 from ..lint import (_allowed_codes, _dotted, iter_python_files,
                     normalize_path)
 from .state import ClassState, collect_class_state
+
+if TYPE_CHECKING:
+    from .typestate import FunctionFacts
 
 __all__ = [
     "CallSite",
     "ClassInfo",
     "FunctionInfo",
     "ModuleInfo",
+    "ParseCache",
+    "ParsedModule",
     "Project",
+    "call_site",
+    "child_nodes",
 ]
 
 
@@ -109,6 +118,48 @@ class ModuleInfo:
     imports: Dict[str, str] = field(default_factory=dict)
     #: line -> suppressed rule codes (``# tp: allow=TP10x``)
     allowed: Dict[int, Set[str]] = field(default_factory=dict)
+    #: spec-independent per-function facts, keyed by function node;
+    #: shared with every project that reuses this module's tree
+    facts: Dict[ast.AST, "FunctionFacts"] = field(default_factory=dict)
+
+
+@dataclass
+class ParsedModule:
+    """One module's source text, parsed once, and the facts derived
+    from its tree."""
+
+    source: str
+    tree: ast.Module
+    lines: List[str]
+    facts: Dict[ast.AST, "FunctionFacts"] = field(default_factory=dict)
+
+
+class ParseCache:
+    """Parsed modules shared by projects built over near-identical trees.
+
+    The mutation harness analyses a pristine tree and then one copy per
+    mutant that differs from it in a single module.  Every project built
+    through the same cache reuses the recorded tree of each module whose
+    source text is unchanged, together with the per-function facts the
+    passes derived from that tree, so only the changed module is parsed
+    again.  The first source seen for a path is the one recorded; a
+    module whose text differs is parsed privately and dropped with its
+    project.  Trees are shared read-only: no pass mutates an AST.
+    """
+
+    def __init__(self) -> None:
+        self._modules: Dict[str, ParsedModule] = {}
+
+    def parse(self, path: str, source: str) -> ParsedModule:
+        """The parsed module for ``source`` at ``path``."""
+        recorded = self._modules.get(path)
+        if recorded is not None and recorded.source == source:
+            return recorded
+        parsed = ParsedModule(source=source,
+                              tree=ast.parse(source, filename=path),
+                              lines=source.splitlines())
+        self._modules.setdefault(path, parsed)
+        return parsed
 
 
 def _module_name(path: pathlib.Path) -> str:
@@ -122,44 +173,86 @@ def _module_name(path: pathlib.Path) -> str:
     return ".".join(parts) or path.stem
 
 
-class _CallCollector(ast.NodeVisitor):
-    """Extract :class:`CallSite` records from one function body."""
+def child_nodes(node: ast.AST,
+                skip: Tuple[type, ...] = ()) -> List[ast.AST]:
+    """:func:`ast.iter_child_nodes` as a list, minus children of the
+    ``skip`` types, without its two stacked generators (the call-site
+    collector and the typestate scans walk every function body on it)."""
+    children: List[ast.AST] = []
+    for name in node._fields:
+        value = getattr(node, name, None)
+        if isinstance(value, ast.AST):
+            if not isinstance(value, skip):
+                children.append(value)
+        elif isinstance(value, list):
+            for item in value:
+                if isinstance(item, ast.AST) and not isinstance(item, skip):
+                    children.append(item)
+    return children
 
-    def __init__(self) -> None:
-        self.calls: List[CallSite] = []
 
-    def visit_Call(self, node: ast.Call) -> None:
-        """Classify the call as self-dispatch, attr-call or plain name."""
-        func = node.func
-        if isinstance(func, ast.Attribute):
-            value = func.value
-            if isinstance(value, ast.Name) and value.id in ("self", "cls"):
-                self.calls.append(CallSite(
-                    kind="self", target=func.attr,
-                    line=node.lineno, col=node.col_offset))
-            elif (isinstance(value, ast.Attribute)
-                  and isinstance(value.value, ast.Name)
-                  and value.value.id in ("self", "cls")):
-                self.calls.append(CallSite(
-                    kind="attr", target=func.attr, receiver=value.attr,
-                    line=node.lineno, col=node.col_offset))
-            else:
-                dotted = _dotted(func)
-                if dotted is not None:
-                    self.calls.append(CallSite(
-                        kind="name", target=dotted,
-                        line=node.lineno, col=node.col_offset))
-        elif isinstance(func, ast.Name):
-            self.calls.append(CallSite(
-                kind="name", target=func.id,
-                line=node.lineno, col=node.col_offset))
-        self.generic_visit(node)
+def call_site(call: ast.Call) -> Optional[CallSite]:
+    """Classify one call expression as self-dispatch, attr-call or
+    plain name; None when the callee is computed."""
+    func = call.func
+    line, col = call.lineno, call.col_offset
+    if isinstance(func, ast.Name):
+        return CallSite("name", func.id, line, col)
+    if isinstance(func, ast.Attribute):
+        value = func.value
+        if isinstance(value, ast.Name) and value.id in ("self", "cls"):
+            return CallSite("self", func.attr, line, col)
+        if (isinstance(value, ast.Attribute)
+                and isinstance(value.value, ast.Name)
+                and value.value.id in ("self", "cls")):
+            return CallSite("attr", func.attr, line, col,
+                            receiver=value.attr)
+        dotted = _dotted(func)
+        if dotted is not None:
+            return CallSite("name", dotted, line, col)
+    return None
 
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        """Do not descend into nested defs; they get their own entry."""
 
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        """Do not descend into nested defs; they get their own entry."""
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _call_sites(body: Sequence[ast.stmt]) -> List[CallSite]:
+    """The call sites of one function body in pre-order; nested defs
+    are skipped (they get their own entry), lambdas are not."""
+    sites: List[CallSite] = []
+    stack: List[ast.AST] = [stmt for stmt in reversed(body)
+                            if not isinstance(stmt, _DEFS)]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Call):
+            site = call_site(node)
+            if site is not None:
+                sites.append(site)
+        children = child_nodes(node, _DEFS)
+        children.reverse()
+        stack.extend(children)
+    return sites
+
+
+def _import_statements(tree: ast.Module) -> List[ast.stmt]:
+    """Every ``import``/``from ... import`` in ``tree`` in the order
+    :func:`ast.walk` yields them (breadth-first).  Statements sit only
+    in list fields and never below an expression, so expression
+    subtrees are not entered."""
+    found: List[ast.stmt] = []
+    queue: Deque[ast.AST] = deque([tree])
+    while queue:
+        node = queue.popleft()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.append(node)
+            continue
+        for name in node._fields:
+            value = getattr(node, name, None)
+            if isinstance(value, list):
+                queue.extend(item for item in value
+                             if isinstance(item, ast.AST)
+                             and not isinstance(item, ast.expr))
+    return found
 
 
 class Project:
@@ -187,24 +280,33 @@ class Project:
         return cls.from_sources(sources)
 
     @classmethod
-    def from_sources(cls, sources: Mapping[str, str]) -> "Project":
-        """Build a project from ``{path: source}`` (tests use this)."""
+    def from_sources(cls, sources: Mapping[str, str],
+                     cache: Optional[ParseCache] = None) -> "Project":
+        """Build a project from ``{path: source}``.
+
+        With a shared ``cache``, modules whose source is unchanged since
+        the cache recorded them are not parsed again (see
+        :class:`ParseCache`).
+        """
+        if cache is None:
+            cache = ParseCache()
         project = cls()
         for path, source in sorted(sources.items()):
-            project._add_module(path, source)
+            project._add_module(path, cache.parse(path, source))
         project._resolve_bases()
         project._collect_state()
         return project
 
-    def _add_module(self, path: str, source: str) -> None:
-        tree = ast.parse(source, filename=path)
-        lines = source.splitlines()
+    def _add_module(self, path: str, parsed: ParsedModule) -> None:
+        tree = parsed.tree
+        lines = parsed.lines
         name = _module_name(pathlib.PurePosixPath(path))
         if name in self.modules:  # same-named module elsewhere: keep both
             name = f"{name}@{len(self.modules)}"
         module = ModuleInfo(name=name, path=path, tree=tree,
                             source_lines=lines,
-                            allowed=_allowed_codes(lines))
+                            allowed=_allowed_codes(lines),
+                            facts=parsed.facts)
         self._collect_imports(module, path)
         self.modules[name] = module
         for node in tree.body:
@@ -217,7 +319,7 @@ class Project:
         is_pkg = pathlib.PurePosixPath(path).name == "__init__.py"
         package = module.name if is_pkg else ".".join(
             module.name.split(".")[:-1])
-        for node in ast.walk(module.tree):
+        for node in _import_statements(module.tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     local = alias.asname or alias.name.split(".")[0]
@@ -261,13 +363,10 @@ class Project:
             return
         owner = cls_qname or module.name
         qname = f"{owner}.{node.name}"
-        collector = _CallCollector()
-        for stmt in node.body:
-            collector.visit(stmt)
         info = FunctionInfo(qname=qname, module=module.name,
                             name=node.name, path=module.path,
                             line=node.lineno, node=node, cls=cls_qname,
-                            calls=collector.calls)
+                            calls=_call_sites(node.body))
         self.functions[qname] = info
         if cls_info is not None:
             cls_info.methods[node.name] = info

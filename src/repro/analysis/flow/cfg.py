@@ -39,6 +39,8 @@ import ast
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
+from .callgraph import child_nodes
+
 __all__ = ["CFG", "CFGNode", "build_cfg", "calls_in"]
 
 #: exception strength of one call, as classified by the caller, in
@@ -58,16 +60,14 @@ def calls_in(node: ast.AST) -> List[ast.Call]:
     descending into nested function/lambda bodies (they have their own
     CFGs — or none — and their calls do not run here)."""
     calls: List[ast.Call] = []
-
-    def _walk(current: ast.AST) -> None:
+    stack: List[ast.AST] = [node]
+    while stack:  # iterative pre-order: ties in the sort keep it
+        current = stack.pop()
         if isinstance(current, ast.Call):
             calls.append(current)
-        for child in ast.iter_child_nodes(current):
-            if isinstance(child, _NESTED):
-                continue
-            _walk(child)
-
-    _walk(node)
+        children = child_nodes(current, _NESTED)
+        children.reverse()
+        stack.extend(children)
     calls.sort(key=lambda c: (c.lineno, c.col_offset))
     return calls
 

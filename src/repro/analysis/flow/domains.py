@@ -63,7 +63,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..lint import Finding, _dotted
-from .callgraph import CallSite, FunctionInfo, ModuleInfo, Project
+from .callgraph import FunctionInfo, ModuleInfo, Project, call_site
 from .engine import FlowEngine
 from .state import _param_annotations
 
@@ -767,32 +767,6 @@ class _FnPass:
                        f"a {index}-domain index")
 
     # -- calls ---------------------------------------------------------
-    def _call_site(self, node: ast.Call) -> Optional[CallSite]:
-        """Re-classify a call expression the way _CallCollector does."""
-        func = node.func
-        if isinstance(func, ast.Attribute):
-            value = func.value
-            if isinstance(value, ast.Name) and value.id in ("self",
-                                                            "cls"):
-                return CallSite(kind="self", target=func.attr,
-                                line=node.lineno,
-                                col=node.col_offset)
-            if isinstance(value, ast.Attribute) and \
-                    isinstance(value.value, ast.Name) and \
-                    value.value.id in ("self", "cls"):
-                return CallSite(kind="attr", target=func.attr,
-                                receiver=value.attr, line=node.lineno,
-                                col=node.col_offset)
-            dotted = _dotted(func)
-            if dotted is not None:
-                return CallSite(kind="name", target=dotted,
-                                line=node.lineno, col=node.col_offset)
-            return None
-        if isinstance(func, ast.Name):
-            return CallSite(kind="name", target=func.id,
-                            line=node.lineno, col=node.col_offset)
-        return None
-
     def _call(self, node: ast.Call) -> Domain:
         if not isinstance(node.func, (ast.Name, ast.Attribute)):
             self._eval(node.func)
@@ -808,7 +782,7 @@ class _FnPass:
         converted = _conversion_target(simple)
         if converted is not None:
             return converted  # conversion helpers launder domains
-        site = self._call_site(node)
+        site = call_site(node)
         callees: Set[str] = set()
         if site is not None:
             callees = self.project.resolve_call(self.fn, site)

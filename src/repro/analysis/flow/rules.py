@@ -27,7 +27,7 @@ import ast
 import time
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from ..lint import _FLASH_OPS, Finding, _dotted
+from ..lint import _FLASH_OPS, Finding, _dotted, lint_parsed
 from .callgraph import FunctionInfo, ModuleInfo, Project
 from .domains import DOMAIN_RULES, check_domains
 from .engine import FlowEngine
@@ -43,6 +43,7 @@ __all__ = [
     "analyze_paths",
     "analyze_project",
     "analyze_source",
+    "analyze_tree",
 ]
 
 #: every flow rule, code -> one-line description
@@ -438,6 +439,25 @@ def analyze_project(project: Project,
     timed("flow", run_flow_rules)
     timed("domains", lambda: check_domains(project, engine))
     timed("protocols", lambda: check_protocols(project, engine))
+    findings.sort(key=lambda f: (f.path, f.line, f.rule))
+    return findings
+
+
+def analyze_tree(project: Project,
+                 timings: Optional[Dict[str, float]] = None,
+                 ) -> List[Finding]:
+    """Every pass over one parsed tree: the TP0xx lint on the project's
+    modules, then :func:`analyze_project`; sorted by position.
+
+    ``timings`` adds the lint's wall-clock seconds under ``lint``.
+    """
+    started = time.perf_counter()  # tp: allow=TP002 - host-side stats
+    findings = lint_parsed(
+        (module.path, module.source_lines, module.tree)
+        for module in project.modules.values())
+    if timings is not None:
+        timings["lint"] = time.perf_counter() - started  # tp: allow=TP002 - host-side stats
+    findings += analyze_project(project, timings=timings)
     findings.sort(key=lambda f: (f.path, f.line, f.rule))
     return findings
 

@@ -52,17 +52,20 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..lint import Finding, _dotted
-from .callgraph import CallSite, FunctionInfo, ModuleInfo, Project
-from .cfg import CFG, CFGNode, build_cfg, calls_in
+from .callgraph import (FunctionInfo, ModuleInfo, Project, call_site,
+                        child_nodes)
+from .cfg import _NESTED, CFG, CFGNode, build_cfg
 from .engine import FlowEngine, fixed_point
 
 __all__ = [
+    "FunctionFacts",
     "PROTOCOL_RULES",
     "PROTOCOL_SPECS",
     "ORDER_SPECS",
     "ProtocolSpec",
     "OrderSpec",
     "check_protocols",
+    "function_facts",
 ]
 
 PROTOCOL_RULES: Dict[str, str] = {
@@ -230,27 +233,148 @@ def _order_fact(name: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Interprocedural summaries
+# Per-function facts (one fused scan, shared across analyses)
 
 
-def _has_explicit_raise(fn: FunctionInfo) -> bool:
-    """True when the function body contains a ``raise`` statement."""
-    stack: List[ast.AST] = list(ast.iter_child_nodes(fn.node))
+@dataclass
+class FunctionFacts:
+    """What the pass needs from one function body that no spec, summary
+    or call-graph edge can change.
+
+    They depend on the function's AST alone, so a project built from a
+    shared :class:`~repro.analysis.flow.callgraph.ParseCache` reuses them
+    for every module whose source is unchanged.
+    """
+
+    #: single-assignment ``name = dotted.chain`` aliases
+    aliases: Dict[str, str]
+    #: ``names = <ctor>(...)``: (last name of the callee, bound names)
+    ctor_binds: Tuple[Tuple[str, Tuple[str, ...]], ...]
+    #: ``with <ctor>(...) as name``: (last name of the callee, name)
+    with_binds: Tuple[Tuple[str, str], ...]
+    #: the body contains a ``raise`` statement
+    raises: bool
+    #: every call in the function's own scope, in source order
+    calls: Tuple[ast.Call, ...]
+    #: ``param.method(...)`` calls on a parameter: (method, param)
+    param_calls: Tuple[Tuple[str, str], ...]
+    #: the structural CFG reaches its normal exit (computed on first use)
+    exits_normally: Optional[bool] = None
+
+
+def _bound_names(target: ast.AST, counts: Dict[str, int]) -> None:
+    """Count every name a binding target (re)binds."""
+    if isinstance(target, ast.Name):
+        counts[target.id] = counts.get(target.id, 0) + 1
+    elif isinstance(target, (ast.Tuple, ast.List)):
+        for elt in target.elts:
+            _bound_names(elt, counts)
+    elif isinstance(target, ast.Starred):
+        _bound_names(target.value, counts)
+
+
+def _last_name(call: ast.Call) -> Optional[str]:
+    """``Process`` for ``ctx.Process(...)``; None for a computed callee."""
+    chain = _dotted(call.func)
+    return None if chain is None else chain.rsplit(".", 1)[-1]
+
+
+def _scan_function(fn: FunctionInfo) -> FunctionFacts:
+    """Collect :class:`FunctionFacts` in one iterative pre-order walk
+    over the function's own scope (nested defs and lambdas excluded)."""
+    counts: Dict[str, int] = {}
+    alias_candidates: List[Tuple[str, str]] = []
+    ctor_binds: List[Tuple[str, Tuple[str, ...]]] = []
+    with_binds: List[Tuple[str, str]] = []
+    calls: List[ast.Call] = []
+    raises = False
+    stack = child_nodes(fn.node, _NESTED)
+    stack.reverse()
     while stack:
         node = stack.pop()
-        if isinstance(node, ast.Raise):
-            return True
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        stack.extend(ast.iter_child_nodes(node))
-    return False
+        if isinstance(node, ast.Call):
+            calls.append(node)
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                _bound_names(target, counts)
+            if len(node.targets) == 1 and isinstance(node.targets[0], ast.Name):
+                chain = _dotted(node.value)
+                if chain is not None:
+                    alias_candidates.append((node.targets[0].id, chain))
+            ctor = (_last_name(node.value)
+                    if isinstance(node.value, ast.Call) else None)
+            if ctor is not None:
+                names: List[str] = []
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        names.append(target.id)
+                    elif isinstance(target, (ast.Tuple, ast.List)):
+                        names.extend(elt.id for elt in target.elts
+                                     if isinstance(elt, ast.Name))
+                ctor_binds.append((ctor, tuple(names)))
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign, ast.For, ast.AsyncFor)):
+            _bound_names(node.target, counts)
+        elif isinstance(node, (ast.With, ast.AsyncWith)):
+            for item in node.items:
+                if item.optional_vars is not None:
+                    _bound_names(item.optional_vars, counts)
+                if isinstance(item.context_expr, ast.Call) and isinstance(
+                        item.optional_vars, ast.Name):
+                    ctor = _last_name(item.context_expr)
+                    if ctor is not None:
+                        with_binds.append((ctor, item.optional_vars.id))
+        elif isinstance(node, ast.ExceptHandler):
+            if node.name:
+                counts[node.name] = counts.get(node.name, 0) + 1
+        elif isinstance(node, ast.NamedExpr):
+            _bound_names(node.target, counts)
+        elif isinstance(node, ast.Raise):
+            raises = True
+        children = child_nodes(node, _NESTED)
+        children.reverse()
+        stack.extend(children)
+    calls.sort(key=lambda c: (c.lineno, c.col_offset))
+    params = set(_param_names(fn)) | {
+        arg.arg for arg in fn.node.args.kwonlyargs
+    }
+    param_calls: List[Tuple[str, str]] = []
+    for call in calls:
+        func = call.func
+        if (
+            isinstance(func, ast.Attribute)
+            and isinstance(func.value, ast.Name)
+            and func.value.id in params
+        ):
+            param_calls.append((func.attr, func.value.id))
+    return FunctionFacts(
+        aliases={name: chain for name, chain in alias_candidates
+                 if counts.get(name, 0) == 1},
+        ctor_binds=tuple(ctor_binds),
+        with_binds=tuple(with_binds),
+        raises=raises,
+        calls=tuple(calls),
+        param_calls=tuple(param_calls),
+    )
+
+
+def function_facts(project: Project, fn: FunctionInfo) -> FunctionFacts:
+    """The facts of ``fn``, scanned once per parsed tree."""
+    memo = project.modules[fn.module].facts
+    facts = memo.get(fn.node)
+    if facts is None:
+        facts = memo[fn.node] = _scan_function(fn)
+    return facts
+
+
+# ---------------------------------------------------------------------------
+# Interprocedural summaries
 
 
 def _may_raise_summary(project: Project, engine: FlowEngine) -> Set[str]:
     """Functions that may raise: explicit raisers plus transitive callers."""
     seeds: Dict[str, FrozenSet[str]] = {}
     for qname, fn in project.functions.items():
-        if _has_explicit_raise(fn):
+        if function_facts(project, fn).raises:
             seeds[qname] = frozenset({"raises"})
     reverse: Dict[str, List[str]] = {}
     for caller, callees in engine.edges.items():
@@ -264,11 +388,13 @@ def _always_raises_summary(project: Project) -> Set[str]:
     """Functions with no normal exit (every path ends in ``raise``)."""
     always: Set[str] = set()
     for qname, fn in project.functions.items():
-        try:
-            cfg = build_cfg(fn.node)
-        except RecursionError:  # pragma: no cover - pathological nesting
-            continue
-        if not cfg.exits_normally():
+        facts = function_facts(project, fn)
+        if facts.exits_normally is None:
+            try:
+                facts.exits_normally = build_cfg(fn.node).exits_normally()
+            except RecursionError:  # pragma: no cover - pathological nesting
+                facts.exits_normally = True
+        if not facts.exits_normally:
             always.add(qname)
     return always
 
@@ -291,43 +417,14 @@ def _release_summary(
     tracked resource to such a function counts as a release at the call
     site instead of an escape.
     """
-    out: Dict[str, Set[str]] = {}
-    for qname, fn in project.functions.items():
-        params = set(_param_names(fn)) | {
-            arg.arg for arg in fn.node.args.kwonlyargs
+    return {
+        qname: {
+            param
+            for method, param in function_facts(project, fn).param_calls
+            if method in release_methods
         }
-        released: Set[str] = set()
-        for call in calls_in(fn.node):
-            func = call.func
-            if (
-                isinstance(func, ast.Attribute)
-                and func.attr in release_methods
-                and isinstance(func.value, ast.Name)
-                and func.value.id in params
-            ):
-                released.add(func.value.id)
-        out[qname] = released
-    return out
-
-
-def _call_site(call: ast.Call) -> Optional[CallSite]:
-    """Classify a call expression the way the call-graph collector does."""
-    func = call.func
-    line, col = call.lineno, call.col_offset
-    if isinstance(func, ast.Name):
-        return CallSite("name", func.id, line, col)
-    if isinstance(func, ast.Attribute):
-        value = func.value
-        if isinstance(value, ast.Name) and value.id in ("self", "cls"):
-            return CallSite("self", func.attr, line, col)
-        if isinstance(value, ast.Attribute):
-            inner = value.value
-            if isinstance(inner, ast.Name) and inner.id in ("self", "cls"):
-                return CallSite("attr", func.attr, line, col, receiver=value.attr)
-        dotted = _dotted(func)
-        if dotted is not None:
-            return CallSite("name", dotted, line, col)
-    return None
+        for qname, fn in project.functions.items()
+    }
 
 
 def _mapped_param(callee: FunctionInfo, index: Optional[int], keyword: Optional[str]) -> Optional[str]:
@@ -342,69 +439,6 @@ def _mapped_param(callee: FunctionInfo, index: Optional[int], keyword: Optional[
         if index < len(positional):
             return positional[index]
     return None
-
-
-# ---------------------------------------------------------------------------
-# Per-function lexical scans
-
-
-def _binding_counts(fn_node: ast.AST) -> Dict[str, int]:
-    """How many times each local name is (re)bound in the function body."""
-    counts: Dict[str, int] = {}
-
-    def bump(name: str) -> None:
-        counts[name] = counts.get(name, 0) + 1
-
-    def bind_target(target: ast.AST) -> None:
-        if isinstance(target, ast.Name):
-            bump(target.id)
-        elif isinstance(target, (ast.Tuple, ast.List)):
-            for elt in target.elts:
-                bind_target(elt)
-        elif isinstance(target, ast.Starred):
-            bind_target(target.value)
-
-    stack: List[ast.AST] = list(ast.iter_child_nodes(fn_node))
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        if isinstance(node, ast.Assign):
-            for target in node.targets:
-                bind_target(target)
-        elif isinstance(node, (ast.AugAssign, ast.AnnAssign, ast.For, ast.AsyncFor)):
-            bind_target(node.target)
-        elif isinstance(node, (ast.With, ast.AsyncWith)):
-            for item in node.items:
-                if item.optional_vars is not None:
-                    bind_target(item.optional_vars)
-        elif isinstance(node, ast.ExceptHandler) and node.name:
-            bump(node.name)
-        elif isinstance(node, ast.NamedExpr):
-            bind_target(node.target)
-        stack.extend(ast.iter_child_nodes(node))
-    return counts
-
-
-def _alias_map(fn_node: ast.AST, counts: Mapping[str, int]) -> Dict[str, str]:
-    """Single-assignment ``name = dotted.chain`` aliases in the body."""
-    aliases: Dict[str, str] = {}
-    stack: List[ast.AST] = list(ast.iter_child_nodes(fn_node))
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        if (
-            isinstance(node, ast.Assign)
-            and len(node.targets) == 1
-            and isinstance(node.targets[0], ast.Name)
-            and counts.get(node.targets[0].id, 0) == 1
-        ):
-            chain = _dotted(node.value)
-            if chain is not None:
-                aliases[node.targets[0].id] = chain
-        stack.extend(ast.iter_child_nodes(node))
-    return aliases
 
 
 def _canonical(aliases: Mapping[str, str], dotted: str) -> str:
@@ -464,7 +498,7 @@ def _names_in(expr: ast.AST) -> Set[str]:
             continue
         if isinstance(node, ast.Name):
             names.add(node.id)
-        stack.extend(ast.iter_child_nodes(node))
+        stack.extend(child_nodes(node))
     return names
 
 
@@ -531,9 +565,8 @@ class _FunctionAnalysis:
         self.may_raise = may_raise
         self.always_raises = always_raises
         self.releases = releases
-        counts = _binding_counts(fn.node)
-        self.aliases = _alias_map(fn.node, counts)
-        self.protected_lines, self.finally_lines = _lexical_guards(fn.node)
+        self.facts = function_facts(project, fn)
+        self.aliases = self.facts.aliases
         # method-name lookup tables for event extraction
         self.acquire_of: Dict[str, str] = {}
         self.release_of: Dict[str, List[str]] = {}
@@ -552,11 +585,18 @@ class _FunctionAnalysis:
             for ctor in spec.constructors:
                 self.ctor_of.setdefault(ctor, []).append(spec.name)
         self.orders = [order for order in orders if self._order_in_scope(order)]
-        # keys bound by constructor calls / safely bound inside `with`
+        # keys bound by constructor calls, minus those bound by `with`
         self.ctor_keys: Dict[str, Set[str]] = {name: set() for name in self.specs}
-        self.safe_keys: Dict[str, Set[str]] = {name: set() for name in self.specs}
-        self._collect_ctor_keys()
+        for ctor, names in self.facts.ctor_binds:
+            for spec_name in self.ctor_of.get(ctor, []):
+                self.ctor_keys[spec_name].update(names)
+        for ctor, name in self.facts.with_binds:
+            for spec_name in self.ctor_of.get(ctor, []):
+                self.ctor_keys[spec_name].discard(name)
         self.events: Dict[int, List[_Event]] = {}
+        # lines under a try-with-finally / inside a finally (set by run)
+        self.protected_lines: Set[int] = set()
+        self.finally_lines: Set[int] = set()
 
     # -- scoping ----------------------------------------------------------
 
@@ -566,7 +606,7 @@ class _FunctionAnalysis:
             return False
         has_target = any(
             isinstance(call.func, ast.Attribute) and call.func.attr in order.target
-            for call in calls_in(fn.node)
+            for call in self.facts.calls
         )
         if not has_target:
             return False
@@ -578,37 +618,8 @@ class _FunctionAnalysis:
     # -- constructor key discovery ----------------------------------------
 
     def _ctor_specs_for(self, call: ast.Call) -> List[str]:
-        chain = _dotted(call.func)
-        if chain is None:
-            return []
-        last = chain.rsplit(".", 1)[-1]
-        return self.ctor_of.get(last, [])
-
-    def _collect_ctor_keys(self) -> None:
-        stack: List[ast.AST] = list(ast.iter_child_nodes(self.fn.node))
-        while stack:
-            node = stack.pop()
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                continue
-            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
-                for spec_name in self._ctor_specs_for(node.value):
-                    for target in node.targets:
-                        if isinstance(target, ast.Name):
-                            self.ctor_keys[spec_name].add(target.id)
-                        elif isinstance(target, (ast.Tuple, ast.List)):
-                            for elt in target.elts:
-                                if isinstance(elt, ast.Name):
-                                    self.ctor_keys[spec_name].add(elt.id)
-            elif isinstance(node, (ast.With, ast.AsyncWith)):
-                for item in node.items:
-                    if not isinstance(item.context_expr, ast.Call):
-                        continue
-                    for spec_name in self._ctor_specs_for(item.context_expr):
-                        if isinstance(item.optional_vars, ast.Name):
-                            self.safe_keys[spec_name].add(item.optional_vars.id)
-            stack.extend(ast.iter_child_nodes(node))
-        for spec_name in self.ctor_keys:
-            self.ctor_keys[spec_name] -= self.safe_keys[spec_name]
+        last = _last_name(call)
+        return [] if last is None else self.ctor_of.get(last, [])
 
     # -- event extraction --------------------------------------------------
 
@@ -623,7 +634,7 @@ class _FunctionAnalysis:
         self, call: ast.Call, index: Optional[int], keyword: Optional[str]
     ) -> bool:
         """True when every resolved callee releases the passed argument."""
-        site = _call_site(call)
+        site = call_site(call)
         if site is None:
             return False
         callees = [
@@ -805,14 +816,14 @@ class _FunctionAnalysis:
                 self._walk_effect(kw.value, events)
             self._emit_call_events(item, events)
             return
-        for child in ast.iter_child_nodes(item):
+        for child in child_nodes(item):
             self._walk_effect(child, events)
 
     # -- exception-edge classification ------------------------------------
 
     def classify(self, call: ast.Call) -> str:
         """Exception strength of one call site (see EXC_STRENGTHS)."""
-        site = _call_site(call)
+        site = call_site(call)
         if site is None:
             return "weak"
         callees = [
@@ -930,8 +941,31 @@ class _FunctionAnalysis:
             for state in states
         )
 
+    def _may_emit_events(self) -> bool:
+        """False when no statement can yield an event, so the CFG and
+        the dataflow are skipped.
+
+        Every event needs a constructor-bound key or a call to a
+        protocol method; the function's call list is a superset of the
+        calls its CFG nodes evaluate.
+        """
+        if any(self.ctor_keys.values()):
+            return True
+        methods = set(self.acquire_of).union(
+            self.release_of, self.use_of, self.start_of)
+        for order in self.orders:
+            methods.update(order.before)
+            methods.update(order.target)
+        return any(
+            isinstance(call.func, ast.Attribute) and call.func.attr in methods
+            for call in self.facts.calls
+        )
+
     def run(self) -> List[Finding]:
         """Build the CFG, solve the dataflow, and report violations."""
+        if not self._may_emit_events():
+            return []
+        self.protected_lines, self.finally_lines = _lexical_guards(self.fn.node)
         cfg = build_cfg(self.fn.node, classify=self.classify)
         for nid, node in cfg.nodes.items():
             node_events = self._extract_node_events(node)

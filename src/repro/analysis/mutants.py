@@ -14,12 +14,11 @@ swapped ``enter_fast_mode``/``exit_fast_mode``, ``fold_stats`` after
 the window closed, the supervisor's spawn-failure cleanup removed, a
 journal ``with`` block rewritten as manual ``open``/``close``, an
 early ``return`` before the ``close()``, and the per-run device reset
-dropped ahead of the serve loop.  Each mutant is applied to a
-throwaway copy of ``src/`` and the harness asserts that
+dropped ahead of the serve loop.  The harness asserts that
 
-* the **pristine copy is clean**: zero findings beyond the committed
+* the **pristine tree is clean**: zero findings beyond the committed
   baseline (the analysis does not cry wolf at HEAD), and
-* **every mutant is killed**: the analysis of the mutated copy yields
+* **every mutant is killed**: the analysis of the mutated tree yields
   at least one *new* finding of the expected rule in the mutated file.
 
 Each mutant is an exact-text substitution that must match its file
@@ -29,22 +28,27 @@ nothing.  Run it as ``python -m repro.analysis mutants`` (CI does, in
 the ``analysis-mutants`` job) or through
 ``tests/test_analysis_mutants.py``.
 
-This is also the gate the planned vectorized fast path must pass: any
-rewrite of the translation hot loops has to keep all of these mutants
-detectable.
+Nothing is copied or written to disk.  :func:`run_mutants` reads the
+tree once into a ``{normalized path: source}`` map, applies each mutant
+to a copy of that map, and runs every pass
+(:func:`~repro.analysis.flow.analyze_tree`) over each version through
+one shared :class:`~repro.analysis.flow.callgraph.ParseCache`: a module
+whose text is unchanged reuses its parsed tree and its per-function
+typestate facts, so a mutant costs one re-parse of the module it
+changes plus the interprocedural passes, which are rebuilt from
+scratch every time.  Findings carry the real source paths, so the
+pristine check keys them exactly like the baseline.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import pathlib
-import shutil
-import tempfile
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from .flow import analyze_paths
-from .lint import Finding, lint_paths, load_baseline
+from .flow import Project, analyze_tree
+from .flow.callgraph import ParseCache
+from .lint import Finding, iter_python_files, load_baseline, normalize_path
 
 __all__ = [
     "DOMAIN_MUTANTS",
@@ -67,7 +71,7 @@ class Mutant:
     """One seeded domain/unit bug: an exact-text substitution."""
 
     mid: str
-    #: file to mutate, relative to the copied ``src`` root
+    #: file to mutate, relative to the ``src`` root
     path: str
     #: rule expected to kill the mutant (TP201..TP204, TP301..TP305)
     rule: str
@@ -262,7 +266,7 @@ class MutantResult:
     """Outcome of one mutant: killed or survived, with the delta."""
 
     mutant: Mutant
-    #: findings present in the mutated copy but not the pristine one
+    #: findings present in the mutated tree but not the pristine one
     delta: List[Finding]
 
     @property
@@ -277,7 +281,7 @@ class MutantResult:
 class MutationReport:
     """The full harness outcome: pristine check + per-mutant verdicts."""
 
-    #: findings on the pristine copy beyond the committed baseline
+    #: findings on the pristine tree beyond the committed baseline
     pristine_new: List[Finding]
     results: List[MutantResult]
 
@@ -308,72 +312,55 @@ class MutationReport:
         }
 
 
-def _analyze(root: pathlib.Path) -> List[Finding]:
-    """Both passes over one tree copy."""
-    paths = [str(root)]
-    return lint_paths(paths) + analyze_paths(paths)
+def _read_sources(src: pathlib.Path) -> Dict[str, str]:
+    """``{normalized path: source}`` for every Python file under
+    ``src``, keyed the way the passes name findings."""
+    return {normalize_path(file): file.read_text(encoding="utf-8")
+            for file in iter_python_files([str(src)])}
 
 
-def _rebased_key(finding: Finding, copy_root: pathlib.Path,
-                 src_root: pathlib.Path) -> Tuple[str, str, str]:
-    """Baseline key with the tmp-copy path mapped back onto ``src``."""
-    prefix = copy_root.as_posix() + "/"
-    path = finding.path
-    if path.startswith(prefix):
-        path = (src_root / path[len(prefix):]).as_posix()
-    return (finding.rule, path, finding.snippet)
-
-
-def _apply(copy_root: pathlib.Path, mutant: Mutant) -> str:
-    """Apply one mutant in place; returns the original text."""
-    target = copy_root / mutant.path
-    original = target.read_text(encoding="utf-8")
+def _apply(sources: Mapping[str, str], src: pathlib.Path,
+           mutant: Mutant) -> Dict[str, str]:
+    """The source map with one mutant applied; ``sources`` is left
+    untouched.  The before-text must occur exactly once."""
+    path = normalize_path(src / mutant.path)
+    original = sources.get(path, "")
     occurrences = original.count(mutant.before)
     if occurrences != 1:
         raise MutantApplyError(
             f"{mutant.mid}: expected exactly one occurrence of the "
             f"before-text in {mutant.path}, found {occurrences} — the "
             "source drifted; update the mutant list")
-    target.write_text(original.replace(mutant.before, mutant.after),
-                      encoding="utf-8")
-    return original
+    mutated = dict(sources)
+    mutated[path] = original.replace(mutant.before, mutant.after)
+    return mutated
 
 
 def run_mutants(src_root: str = "src",
                 baseline: Optional[str] = ".analysis-baseline.json",
                 mutants: Sequence[Mutant] = MUTANTS) -> MutationReport:
-    """Run the full harness against a throwaway copy of ``src_root``.
+    """Run the full harness against an in-memory image of ``src_root``.
 
-    Copies the tree once, analyzes the pristine copy (comparing
-    against the committed ``baseline`` for the HEAD-clean check), then
-    applies/reverts each mutant in turn and records the finding delta.
+    Reads the tree once, analyzes it pristine (comparing against the
+    committed ``baseline`` for the HEAD-clean check), then analyzes the
+    tree once per mutant with that mutant applied and records the
+    finding delta.  All analyses share one :class:`ParseCache`, so a
+    mutant re-parses and re-scans only the module it changes; the cache
+    is dropped when the call returns.
     """
     src = pathlib.Path(src_root)
     grandfathered = (load_baseline(pathlib.Path(baseline))
                      if baseline else set())
-    with tempfile.TemporaryDirectory(prefix="tp-mutants-") as tmp:
-        # resolve() so the prefix matches the resolved finding paths
-        # normalize_path() produces for files outside the repo
-        copy_root = pathlib.Path(tmp).resolve() / src.name
-        shutil.copytree(src, copy_root, ignore=shutil.ignore_patterns(
-            "__pycache__", "*.pyc", "*.egg-info"))
-        pristine = _analyze(copy_root)
-        pristine_keys: Set[Tuple[str, str, str]] = {
-            f.key for f in pristine}
-        pristine_new = [
-            f for f in pristine
-            if _rebased_key(f, copy_root, src) not in grandfathered]
-        results: List[MutantResult] = []
-        for mutant in mutants:
-            original = _apply(copy_root, mutant)
-            try:
-                mutated = _analyze(copy_root)
-            finally:
-                (copy_root / mutant.path).write_text(
-                    original, encoding="utf-8")
-            delta = [f for f in mutated if f.key not in pristine_keys]
-            results.append(MutantResult(mutant=mutant, delta=delta))
-    rebased = [dataclasses.replace(
-        f, path=_rebased_key(f, copy_root, src)[1])
-        for f in pristine_new]
-    return MutationReport(pristine_new=rebased, results=results)
+    sources = _read_sources(src)
+    cache = ParseCache()
+    pristine = analyze_tree(Project.from_sources(sources, cache=cache))
+    pristine_keys: Set[Tuple[str, str, str]] = {f.key for f in pristine}
+    results: List[MutantResult] = []
+    for mutant in mutants:
+        mutated = analyze_tree(Project.from_sources(
+            _apply(sources, src, mutant), cache=cache))
+        delta = [f for f in mutated if f.key not in pristine_keys]
+        results.append(MutantResult(mutant=mutant, delta=delta))
+    return MutationReport(
+        pristine_new=[f for f in pristine if f.key not in grandfathered],
+        results=results)

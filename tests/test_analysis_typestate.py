@@ -16,9 +16,12 @@ import pathlib
 from repro.analysis.flow import (PROTOCOL_RULES, FlowEngine, Project,
                                  analyze_paths, analyze_source,
                                  build_cfg, check_protocols)
+from repro.analysis.flow.callgraph import ParseCache
+from repro.analysis.flow.cfg import calls_in
 from repro.analysis.flow.typestate import (_always_raises_summary,
                                            _may_raise_summary,
-                                           _release_summary)
+                                           _release_summary,
+                                           function_facts)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -166,6 +169,91 @@ def test_release_summary_names_the_released_params():
         "    conn.close()\n")})
     out = _release_summary(project, {"close"})
     assert out["m.shutdown"] == {"conn"}
+
+
+# ----------------------------------------------------------------------
+# Per-function facts and their reuse across projects
+# ----------------------------------------------------------------------
+_FACTS_SOURCE = (
+    '"""M."""\n'
+    "def work(conn, *, log):\n"
+    "    flash = self.device.flash\n"
+    "    count = 0\n"
+    "    count += 1\n"
+    "    proc = ctx.Process(target=run)\n"
+    "    a, b = Pipe()\n"
+    "    with open(path) as handle:\n"
+    "        handle.read()\n"
+    "    conn.close()\n"
+    "    log.flush()\n"
+    "    g = lambda: inner()\n"
+    "    def nested():\n"
+    "        raise ValueError()\n"
+    "    if not conn:\n"
+    "        raise RuntimeError(f(x)(y))\n")
+
+
+def test_function_facts_from_one_fused_scan():
+    project = Project.from_sources({"m.py": _FACTS_SOURCE})
+    fn = project.functions["m.work"]
+    facts = function_facts(project, fn)
+    # `count` is rebound, so only the single-assignment chain aliases
+    assert facts.aliases == {"flash": "self.device.flash"}
+    assert facts.ctor_binds == (("Process", ("proc",)), ("Pipe", ("a", "b")))
+    assert facts.with_binds == (("open", "handle"),)
+    assert facts.raises  # the nested def's raise would not count alone
+    assert facts.param_calls == (("close", "conn"), ("flush", "log"))
+    # source order, outer call before the call it wraps, and nothing
+    # from the lambda or the nested def
+    assert [call.lineno for call in facts.calls] == [6, 7, 8, 9, 10, 11,
+                                                    16, 16, 16]
+    assert list(facts.calls) == calls_in(fn.node)
+    assert function_facts(project, fn) is facts
+
+
+def test_parse_cache_shares_unchanged_trees_and_facts():
+    other = '"""O."""\ndef helper():\n    return 1\n'
+    cache = ParseCache()
+    first = Project.from_sources({"m.py": _FACTS_SOURCE, "o.py": other},
+                                 cache=cache)
+    facts = function_facts(first, first.functions["m.work"])
+    _always_raises_summary(first)
+    assert facts.exits_normally is True
+    changed = _FACTS_SOURCE.replace("count = 0", "count = 2")
+    second = Project.from_sources({"m.py": changed, "o.py": other},
+                                  cache=cache)
+    assert second.modules["o"].tree is first.modules["o"].tree
+    assert second.modules["o"].facts is first.modules["o"].facts
+    assert second.modules["m"].tree is not first.modules["m"].tree
+    assert function_facts(second, second.functions["m.work"]) is not facts
+    # the changed module was parsed privately: the recorded one survives
+    third = Project.from_sources({"m.py": _FACTS_SOURCE, "o.py": other},
+                                 cache=cache)
+    assert third.modules["m"].tree is first.modules["m"].tree
+    assert function_facts(third, third.functions["m.work"]) is facts
+
+
+def test_functions_without_protocol_calls_build_no_cfg(monkeypatch):
+    import repro.analysis.flow.typestate as typestate
+    built = []
+    real = typestate.build_cfg
+
+    def counting(fn, classify=None):
+        if classify is not None:
+            built.append(fn.name)
+        return real(fn, classify)
+
+    monkeypatch.setattr(typestate, "build_cfg", counting)
+    analyze_source(
+        '"""M."""\n'
+        "def plain(x):\n"
+        "    return helper(x) + 1\n"
+        "def leaky(path):\n"
+        "    handle = open(path)\n"
+        "    return handle.read()\n"
+        "def windowed(flash):\n"
+        "    flash.enter_fast_mode()\n")
+    assert built == ["leaky", "windowed"]
 
 
 # ----------------------------------------------------------------------
