@@ -1,7 +1,7 @@
 """Per-function control-flow graphs with explicit exception edges.
 
 The typestate pass (:mod:`repro.analysis.flow.typestate`) checks
-*temporal* protocols — "``exit_fast_mode`` runs on every path out of
+*temporal* protocols — "``close()`` runs on every path out of
 this region, including the path where ``serve_request`` raised".  That
 question cannot be asked of a syntax tree; it needs a CFG whose edges
 include the ways control *abnormally* leaves a statement:

@@ -9,12 +9,13 @@ mutants** (``M01``–``M10``) cover the TP2xx value bugs: swapped
 VPN, a dropped ``* pages_per_block`` conversion, milliseconds handed
 to a microsecond parameter, a byte budget stored as an entry count.
 The **protocol mutants** (``P01``–``P10``) cover the TP3xx temporal
-bugs: a deleted ``finally`` around a fast-mode window, a dropped or
-swapped ``enter_fast_mode``/``exit_fast_mode``, ``fold_stats`` after
-the window closed, the supervisor's spawn-failure cleanup removed, a
-journal ``with`` block rewritten as manual ``open``/``close``, an
-early ``return`` before the ``close()``, and the per-run device reset
-dropped ahead of the serve loop.  The harness asserts that
+bugs: a deleted ``finally`` that leaves a file handle open on the
+normal path, file handles closed twice, a started worker process
+dropped by an early return before it is tracked, the supervisor's
+spawn-failure cleanup removed, ``with`` blocks rewritten as manual
+``open``/``close``, an early ``return`` before the ``close()``, and
+the per-run device reset dropped or swapped behind the warmup serve
+loop.  The harness asserts that
 
 * the **pristine tree is clean**: zero findings beyond the committed
   baseline (the analysis does not cry wolf at HEAD), and
@@ -129,14 +130,10 @@ DOMAIN_MUTANTS: Tuple[Mutant, ...] = (
         mid="M08", path="repro/ssd/device.py", rule="TP203",
         description="per-request service time converted to ms and "
                     "dispatched where µs are expected",
-        before="            service = cost.service_time(ssd.read_us,"
-               " ssd.write_us,\n"
-               "                                        ssd.erase_us)"
-               "\n",
-        after="            response_ms = cost.service_time("
-              "ssd.read_us, ssd.write_us,\n"
-              "                                        ssd.erase_us)"
-              " / 1000.0\n"
+        before="            service = reads * read_us + writes * write_us"
+               " + erases * erase_us\n",
+        after="            response_ms = (reads * read_us + writes * write_us"
+              " + erases * erase_us) / 1000.0\n"
               "            service = response_ms\n"),
     Mutant(
         mid="M09", path="repro/ssd/parallel.py", rule="TP203",
@@ -163,38 +160,56 @@ DOMAIN_MUTANTS: Tuple[Mutant, ...] = (
 #: the seeded protocol mutants: every one must be killed by TP3xx
 PROTOCOL_MUTANTS: Tuple[Mutant, ...] = (
     Mutant(
-        mid="P01", path="repro/ssd/fastpath.py", rule="TP301",
-        description="deleted finally around the fast-mode run window: "
-                    "exit_fast_mode only runs on one exception flavour",
-        before="    finally:\n"
-               "        flash.exit_fast_mode()",
-        after="    except MemoryError:\n"
-              "        flash.exit_fast_mode()\n"
-              "        raise"),
+        mid="P01", path="repro/experiments/cli.py", rule="TP301",
+        description="deleted finally around the result-file write: the "
+                    "handle is only closed when the write raises",
+        before="                path.write_text(result.to_json(), "
+               "encoding=\"utf-8\")\n",
+        after="                handle = open(path, \"w\", "
+              "encoding=\"utf-8\")\n"
+              "                try:\n"
+              "                    handle.write(result.to_json())\n"
+              "                except OSError:\n"
+              "                    handle.close()\n"
+              "                    raise\n"),
     Mutant(
-        mid="P02", path="repro/ftl/base.py", rule="TP301",
-        description="deleted finally around the prefill fast-mode "
-                    "window: a raise mid-fill strands fast mode",
-        before="            finally:\n"
-               "                flash.exit_fast_mode()",
-        after="            except MemoryError:\n"
-              "                flash.exit_fast_mode()\n"
-              "                raise"),
+        mid="P02", path="repro/experiments/fastbench.py", rule="TP302",
+        description="trajectory handle closed by a finally and then "
+                    "closed again after it",
+        before="    Path(args.out).write_text(json.dumps(report, "
+               "indent=2) + \"\\n\",\n"
+               "                              encoding=\"utf-8\")\n",
+        after="    handle = open(args.out, \"w\", encoding=\"utf-8\")\n"
+              "    try:\n"
+              "        handle.write(json.dumps(report, indent=2) + "
+              "\"\\n\")\n"
+              "    finally:\n"
+              "        handle.close()\n"
+              "    handle.close()\n"),
     Mutant(
-        mid="P03", path="repro/ssd/fastpath.py", rule="TP302",
-        description="dropped enter_fast_mode: the finally releases a "
-                    "window that was never opened",
-        before="    flash.enter_fast_mode()\n"
-               "    try:",
-        after="    try:"),
+        mid="P03", path="repro/experiments/supervisor.py", rule="TP302",
+        description="journal handle closed by a finally and then "
+                    "closed again after it",
+        before="            with open(self.path, \"a\", "
+               "encoding=\"utf-8\") as handle:\n"
+               "                handle.write(json.dumps(payload) + "
+               "\"\\n\")",
+        after="            handle = open(self.path, \"a\", "
+              "encoding=\"utf-8\")\n"
+              "            try:\n"
+              "                handle.write(json.dumps(payload) + "
+              "\"\\n\")\n"
+              "            finally:\n"
+              "                handle.close()\n"
+              "            handle.close()"),
     Mutant(
-        mid="P04", path="repro/ftl/base.py", rule="TP302",
-        description="swapped acquire for release: prefill exits fast "
-                    "mode where it meant to enter it",
-        before="            flash.enter_fast_mode()\n"
-               "            try:",
-        after="            flash.exit_fast_mode()\n"
-              "            try:"),
+        mid="P04", path="repro/experiments/supervisor.py", rule="TP303",
+        description="early return between spawning a worker and "
+                    "tracking it: the started process and its pipe leak",
+        before="            self._spawn_failures = 0\n",
+        after="            if self.degraded:\n"
+              "                return None\n"
+              "            self._spawn_failures = 0\n"),
     Mutant(
         mid="P05", path="repro/experiments/supervisor.py", rule="TP303",
         description="dropped spawn-failure cleanup: a partially-spawned "
@@ -218,12 +233,24 @@ PROTOCOL_MUTANTS: Tuple[Mutant, ...] = (
               "\"\\n\")\n"
               "            handle.close()"),
     Mutant(
-        mid="P07", path="repro/ssd/fastpath.py", rule="TP304",
-        description="dropped per-run reset before the fast-path serve "
-                    "loop: previous replay state leaks into the run",
-        before="    device._validate_trace(trace)\n"
-               "    device._reset_state()",
-        after="    device._validate_trace(trace)"),
+        mid="P07", path="repro/ssd/device.py", rule="TP304",
+        description="swapped the per-run reset and the warmup serve "
+                    "loop: warmup requests run on the previous replay's "
+                    "queue state",
+        before="        self._reset_state()\n"
+               "        ftl = self.ftl\n"
+               "        ssd = ftl.ssd\n"
+               "        measured = trace.requests\n"
+               "        if warmup_requests > 0:\n"
+               "            for request in trace.requests[:warmup_requests]:\n"
+               "                ftl.serve_request(request)\n",
+        after="        ftl = self.ftl\n"
+              "        ssd = ftl.ssd\n"
+              "        measured = trace.requests\n"
+              "        if warmup_requests > 0:\n"
+              "            for request in trace.requests[:warmup_requests]:\n"
+              "                ftl.serve_request(request)\n"
+              "            self._reset_state()\n"),
     Mutant(
         mid="P08", path="repro/ssd/device.py", rule="TP304",
         description="dropped per-run reset in DeviceModel.run: "
@@ -232,14 +259,16 @@ PROTOCOL_MUTANTS: Tuple[Mutant, ...] = (
                "        self._reset_state()",
         after="        self._validate_trace(trace)"),
     Mutant(
-        mid="P09", path="repro/ssd/fastpath.py", rule="TP302",
-        description="warmup fold moved outside the fast-mode window: "
-                    "exit before fold_stats loses the warmup counters",
-        before="            flash.fold_stats()\n"
-               "            flash.stats.reset()",
-        after="            flash.exit_fast_mode()\n"
-              "            flash.fold_stats()\n"
-              "            flash.stats.reset()"),
+        mid="P09", path="repro/experiments/runner.py", rule="TP305",
+        description="bench report written with manual open/close "
+                    "outside with/try-finally",
+        before="        target.write_text(json.dumps(self.bench_report(), "
+               "indent=2)\n"
+               "                          + \"\\n\", encoding=\"utf-8\")\n",
+        after="        handle = open(target, \"w\", encoding=\"utf-8\")\n"
+              "        handle.write(json.dumps(self.bench_report(), "
+              "indent=2) + \"\\n\")\n"
+              "        handle.close()\n"),
     Mutant(
         mid="P10", path="repro/experiments/supervisor.py", rule="TP301",
         description="early return before the journal handle is closed",

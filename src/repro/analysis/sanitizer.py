@@ -45,7 +45,7 @@ class FTLSan:
     sampling clock) and the inline ``note_*`` hooks from its
     prefetch/replacement path.  All state lives here; the FTL keeps a
     single ``sanitizer`` attribute that is ``None`` when disabled, so
-    the fast path costs one attribute test.
+    an unsanitized run pays one attribute test per page operation.
     """
 
     def __init__(self, ftl: "BaseFTL", config: SanitizerConfig) -> None:

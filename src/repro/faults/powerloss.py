@@ -32,6 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..config import SimulationConfig
 from ..errors import FTLError, PowerLossError
+from ..flash import FaultyFlashMemory
 from ..ftl import make_ftl
 from ..recovery import RecoveredState, scan_flash
 from ..types import Op, Request, UNMAPPED
@@ -135,10 +136,14 @@ def run_with_cut(ftl_name: str, config: SimulationConfig,
 
     The FTL is built (and prefilled) first; the countdown starts only
     when the workload does, so every sweep point lands inside the
-    measured traffic.
+    measured traffic.  The plan is armed after construction, so the
+    FTL is put on the per-op array explicitly: the ideal one a no-op
+    plan selects never consults the injector.
     """
-    ftl = make_ftl(ftl_name, config)
-    injector = ftl.flash.injector
+    ftl = make_ftl(ftl_name, config, prefill=False)
+    flash = ftl.flash = FaultyFlashMemory(config.ssd)
+    ftl.prefill()
+    injector = flash.injector
     injector.arm_power_loss(cut_after)
     acked: Dict[int, Op] = {}
     acknowledged = 0

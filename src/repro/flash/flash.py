@@ -7,28 +7,26 @@ garbage, which block to victimise, and how mappings change are decisions of
 the FTL layered on top.  This mirrors the split in FlashSim that the paper
 extends.
 
-Batched execution (the fast mode): on an ideal device — a no-op
-:class:`~repro.faults.FaultPlan` — every per-operation fault consult is
-dead code and the per-op ``FlashStats`` dict updates dominate the
-simulator's profile.  :meth:`FlashMemory.enter_fast_mode` switches the
-array onto mechanically-equivalent operation paths that skip the
-injector, fold operation counts into plain integers (merged back into
-``stats`` by :meth:`FlashMemory.fold_stats`), maintain a lazy victim
-heap so greedy GC selection is O(log blocks) instead of a full scan,
-and track the device-wide erase-count spread so wear-leveling checks
-are O(1).  Every observable outcome — block states, mapping metadata,
-``op_seq``, counters after a fold, raised errors — is identical to the
-reference path; the parity suite diffs entire runs field by field.
+:class:`FlashMemory` is the ideal array, the one every fault-free run
+uses.  It is the single owner of operation counting (plain-integer
+:class:`~repro.flash.FlashStats` counters), keeps a lazy victim heap so
+greedy GC selection is O(log blocks) instead of a full scan, and tracks
+the device-wide erase-count spread so wear-leveling checks are O(1).
+Its GC helpers (:meth:`~FlashMemory.program_batch`,
+:meth:`~FlashMemory.migrate`) chunk-fill the write frontier with one
+count per batch.
 
-Reliability is handled here, below the FTLs, the way real controllers do:
-every program, read and erase consults a :class:`~repro.faults.FaultInjector`
-(a no-op by default).  Transient read errors are retried with exponential
-backoff; a failed program marks the page bad and transparently moves the
-write to the next programmable page; a failed erase — or an erase of a
-block whose bad pages crossed the retirement threshold — takes the block
-out of service.  Retirement eats the spare capacity; when more blocks
-retire than the over-provisioning can absorb, the array raises
-:class:`~repro.errors.DeviceWornOutError`.
+Reliability is handled by :class:`FaultyFlashMemory`, below the FTLs, the
+way real controllers do: every program, read and erase consults a
+:class:`~repro.faults.FaultInjector`.  Transient read errors are retried
+with exponential backoff; a failed program marks the page bad and
+transparently moves the write to the next programmable page; a failed
+erase — or an erase of a block whose bad pages crossed the retirement
+threshold — takes the block out of service.  Retirement eats the spare
+capacity; when more blocks retire than the over-provisioning can absorb,
+the array raises :class:`~repro.errors.DeviceWornOutError`.  Its GC
+helpers run page by page (read, program, invalidate), so the injector
+sees operations in the same order as a page-at-a-time collection.
 """
 
 from __future__ import annotations
@@ -36,29 +34,21 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from typing import Deque, Dict, Iterable, List, Optional, Tuple
+from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..config import SSDConfig
 from ..errors import (DeviceWornOutError, EraseError, FlashError,
-                      OutOfSpaceError, ProgramError, ReadError,
-                      SimInvariantError)
+                      OutOfSpaceError, ProgramError, ReadError)
 from ..faults import FaultInjector
 from ..types import BlockKind, PageKind, PageState
 from .block import Block
 from .stats import FlashStats
 
-#: Block kind owning pages of each page kind.
-_REGION_OF = {
-    PageKind.DATA: BlockKind.DATA,
-    PageKind.TRANSLATION: BlockKind.TRANSLATION,
-}
-
 
 class FlashMemory:
-    """An array of NAND blocks with one write frontier per region."""
+    """An ideal array of NAND blocks with one write frontier per region."""
 
-    def __init__(self, config: SSDConfig,
-                 injector: Optional[FaultInjector] = None) -> None:
+    def __init__(self, config: SSDConfig) -> None:
         self.config = config
         self.pages_per_block = config.pages_per_block
         self.blocks: List[Block] = [
@@ -66,51 +56,28 @@ class FlashMemory:
             for i in range(config.physical_blocks)
         ]
         self._free: Deque[int] = deque(range(config.physical_blocks))
-        self._active: Dict[BlockKind, Optional[Block]] = {
-            BlockKind.DATA: None,
-            BlockKind.TRANSLATION: None,
-        }
-        #: plain-attribute mirrors of the two ``_active`` frontiers,
-        #: kept in sync at every assignment site so the per-page fast
-        #: program path avoids enum-keyed dict lookups.  ``_active``
-        #: stays the source of truth for everything else.
+        #: the data and translation write frontiers
         self._active_data: Optional[Block] = None
         self._active_trans: Optional[Block] = None
         self.stats = FlashStats()
         #: monotonic operation sequence, stamped onto blocks at program
         #: time so GC policies can reason about block age.
         self.op_seq = 0
-        #: fault oracle consulted on every operation (no-op by default).
-        self.injector = (injector if injector is not None
-                         else FaultInjector(config.fault_plan()))
-        #: blocks permanently out of service, in retirement order.
+        #: blocks permanently out of service, in retirement order
+        #: (only :class:`FaultyFlashMemory` retires blocks).
         self.retired_block_ids: List[int] = []
-        #: bad pages in a block at which its next erase retires it.
-        self._bad_retire_pages = max(1, math.ceil(
-            config.pages_per_block
-            * self.injector.plan.bad_page_retire_fraction))
         #: free-pool level at which GC triggers (cached off the config
         #: so the per-page ``gc_needed`` check stays one comparison).
         self._gc_trigger = config.gc_trigger_blocks
-        # -- batched execution (fast mode) -----------------------------
-        #: True while the injector-free fast operation paths are active.
-        self.fast_mode = False
         #: lazy greedy-victim index: ``(-invalid, erase_count, id)``
         #: entries pushed on every invalidation; stale entries (the
         #: block's counts moved on) are dropped at pop time.
         self.victim_heap: List[Tuple[int, int, int]] = []
-        #: exact running device-wide max/min erase counts (fast mode).
+        #: exact running device-wide max/min erase counts.
         self.max_erase = 0
         self.min_erase = 0
         #: blocks per erase-count level, backing ``min_erase``.
-        self._erase_hist: Dict[int, int] = {}
-        # operation-count folds, merged into ``stats`` by fold_stats()
-        self._fold_data_reads = 0
-        self._fold_trans_reads = 0
-        self._fold_data_writes = 0
-        self._fold_trans_writes = 0
-        self._fold_data_erases = 0
-        self._fold_trans_erases = 0
+        self._erase_hist: Dict[int, int] = {0: config.physical_blocks}
 
     # ------------------------------------------------------------------
     # Address helpers
@@ -183,127 +150,102 @@ class FlashMemory:
 
     def active_block(self, kind: BlockKind) -> Optional[Block]:
         """The current write frontier for a region (may be None)."""
-        return self._active[kind]
+        if kind is BlockKind.DATA:
+            return self._active_data
+        if kind is BlockKind.TRANSLATION:
+            return self._active_trans
+        return None
 
     def total_erase_count(self) -> int:
         """Sum of per-block erase counts (wear)."""
         return sum(block.erase_count for block in self.blocks)
 
+    def greedy_victim(self) -> Optional[Block]:
+        """The block :class:`~repro.gc.GreedyPolicy` would collect.
+
+        The heap invariant (every collectible block has an entry with
+        its *current* counts) makes the top accurate entry exactly the
+        block a full candidate scan picks: max invalid count, ties to
+        min erase count, then min block id — the first-encountered
+        block in the scan order.  Stale entries (counts moved on, or
+        the block was erased or retired) are dropped; entries for the
+        active write frontiers are deferred and re-pushed, since those
+        blocks become candidates as soon as the frontier moves past
+        them, without any further invalidation.  The winning entry is
+        left in place: it goes stale when the victim is erased.
+        """
+        heap = self.victim_heap
+        blocks = self.blocks
+        active_data = self._active_data
+        active_trans = self._active_trans
+        deferred: List[Tuple[int, int, int]] = []
+        victim: Optional[Block] = None
+        while heap:
+            neg_invalid, erase_count, block_id = heap[0]
+            block = blocks[block_id]
+            if (block.invalid_count != -neg_invalid
+                    or block.erase_count != erase_count
+                    or block.is_free
+                    or block.kind is BlockKind.RETIRED):
+                heapq.heappop(heap)
+                continue
+            if block is active_data or block is active_trans:
+                deferred.append(heapq.heappop(heap))
+                continue
+            victim = block
+            break
+        for entry in deferred:
+            heapq.heappush(heap, entry)
+        return victim
+
     # ------------------------------------------------------------------
-    # Batched execution (fast mode)
+    # Operations
     # ------------------------------------------------------------------
-    def enter_fast_mode(self) -> None:
-        """Switch to the injector-free batched operation paths.
+    def program(self, kind: PageKind, meta: int) -> int:
+        """Program one page of the given kind; returns its PPN.
 
-        Only legal on an ideal device: a fault plan that can never
-        inject (and therefore an array with no bad pages or retired
-        blocks).  Builds the victim heap and the erase-count histogram
-        from the current array state, so fast mode can be entered at
-        any point of a device's life — e.g. after a prefill that ran on
-        the reference path.
+        ``meta`` is the logical identity of the content (LPN for data
+        pages, VTPN for translation pages), recorded so GC can find the
+        owner of every valid page.
         """
-        if self.fast_mode:
-            return
-        if not self.injector.plan.is_noop:
-            raise FlashError(
-                "fast mode requires a no-op fault plan; this injector "
-                "can fire, so every operation must consult it")
-        if self.retired_block_ids or self.bad_page_count:
-            raise FlashError(
-                "fast mode requires a pristine array (no bad pages or "
-                "retired blocks)")
-        heap: List[Tuple[int, int, int]] = []
-        hist: Dict[int, int] = {}
-        max_erase = 0
-        for block in self.blocks:
-            count = block.erase_count
-            hist[count] = hist.get(count, 0) + 1
-            if count > max_erase:
-                max_erase = count
-            if block.invalid_count and block.kind is not BlockKind.FREE:
-                heap.append((-block.invalid_count, count, block.block_id))
-        heapq.heapify(heap)
-        self.victim_heap = heap
-        self._erase_hist = hist
-        self.max_erase = max_erase
-        self.min_erase = min(hist)
-        self.fast_mode = True
-
-    def exit_fast_mode(self) -> None:
-        """Return to the reference paths, folding pending counters."""
-        if not self.fast_mode:
-            return
-        self.fold_stats()
-        self.fast_mode = False
-        self.victim_heap = []
-        self._erase_hist = {}
-
-    def fold_stats(self) -> None:
-        """Merge the fast-mode count folds into :attr:`stats`.
-
-        Callers that reset or read ``stats`` while fast mode is active
-        (the batched run loop does both) must fold first; afterwards
-        the counters are exactly what the reference path would hold.
-        """
-        stats = self.stats
-        if self._fold_data_reads:
-            stats.page_reads[PageKind.DATA] += self._fold_data_reads
-            self._fold_data_reads = 0
-        if self._fold_trans_reads:
-            stats.page_reads[PageKind.TRANSLATION] += self._fold_trans_reads
-            self._fold_trans_reads = 0
-        if self._fold_data_writes:
-            stats.page_writes[PageKind.DATA] += self._fold_data_writes
-            self._fold_data_writes = 0
-        if self._fold_trans_writes:
-            stats.page_writes[PageKind.TRANSLATION] += self._fold_trans_writes
-            self._fold_trans_writes = 0
-        if self._fold_data_erases:
-            stats.erases[BlockKind.DATA] += self._fold_data_erases
-            self._fold_data_erases = 0
-        if self._fold_trans_erases:
-            stats.erases[BlockKind.TRANSLATION] += self._fold_trans_erases
-            self._fold_trans_erases = 0
-
-    def gc_scan_valid(self, block: Block,
-                      kind: PageKind) -> List[Tuple[int, int]]:
-        """Fast-mode GC helper: read every valid page of ``block``.
-
-        Returns ascending ``(offset, meta)`` pairs and counts one page
-        read of ``kind`` per pair — the batched equivalent of calling
-        :meth:`read` on each valid page of a victim.
-        """
-        meta = block._meta
-        pairs = [(offset, meta[offset])
-                 for offset in block.valid_offsets()]
-        if self.fast_mode:
-            if kind is PageKind.DATA:
-                self._fold_data_reads += len(pairs)
-            else:
-                self._fold_trans_reads += len(pairs)
+        # No bad pages on an ideal array: the write pointer always sits
+        # on a FREE page, so the state transition is unconditional.
+        if kind is PageKind.DATA:
+            block = self._active_data
+            if block is None or block._write_ptr >= self.pages_per_block:
+                block = self._allocate(BlockKind.DATA)
+            self.stats.data_writes += 1
         else:
-            for _ in pairs:
-                self.stats.record_read(kind)
-        return pairs
+            block = self._active_trans
+            if block is None or block._write_ptr >= self.pages_per_block:
+                block = self._allocate(BlockKind.TRANSLATION)
+            self.stats.translation_writes += 1
+        seq = self.op_seq + 1
+        self.op_seq = seq
+        offset = block._write_ptr
+        block._states[offset] = PageState.VALID
+        block._meta[offset] = meta
+        block._write_ptr = offset + 1
+        block.valid_count += 1
+        block.last_program_seq = seq
+        return block.block_id * self.pages_per_block + offset
 
-    def program_batch(self, kind: PageKind, metas: List[int]) -> List[int]:
-        """Fast-mode GC helper: program ``metas`` in order; returns PPNs.
+    def program_batch(self, kind: PageKind,
+                      metas: Sequence[int]) -> List[int]:
+        """Program ``metas`` in order; returns their PPNs.
 
-        Chunk-fills the region's write frontier: mechanically identical
-        to programming one page at a time on an ideal device (same
-        frontier allocations from the free pool, same final ``op_seq``
-        and per-block ``last_program_seq``), minus the per-op
-        bookkeeping.  Only legal in fast mode — with faults armed every
-        program must roll the injector individually.
+        Chunk-fills the region's write frontier: the same frontier
+        allocations from the free pool, final ``op_seq`` and per-block
+        ``last_program_seq`` as one :meth:`program` per page, minus the
+        per-page bookkeeping.
         """
-        if not self.fast_mode:
-            raise FlashError("program_batch requires fast mode")
-        region = _REGION_OF[kind]
+        region = (BlockKind.DATA if kind is PageKind.DATA
+                  else BlockKind.TRANSLATION)
         ppb = self.pages_per_block
         ppns: List[int] = []
         i, total = 0, len(metas)
         while i < total:
-            block = self._active[region]
+            block = self.active_block(region)
             if block is None or block._write_ptr >= ppb:
                 block = self._allocate(region)
             write_ptr = block._write_ptr
@@ -318,94 +260,36 @@ class FlashMemory:
             base = block.block_id * ppb + write_ptr
             ppns.extend(range(base, base + take))
             i += take
-        if kind is PageKind.DATA:
-            self._fold_data_writes += total
-        else:
-            self._fold_trans_writes += total
+        self._count(kind, 0, total)
         return ppns
 
-    def invalidate_batch(self, block: Block, offsets: List[int]) -> None:
-        """Fast-mode GC helper: invalidate valid pages of one block.
+    def migrate(self, block: Block,
+                kind: PageKind) -> Tuple[List[int], List[int]]:
+        """GC helper: move every valid page of ``block`` to the frontier.
 
-        ``offsets`` must all be valid (the caller holds them from
-        :meth:`gc_scan_valid`); the victim index is refreshed once for
-        the whole batch instead of once per page.
+        Reads each valid page, programs its copy in ascending offset
+        order and invalidates the original; returns the moved pages'
+        metadata (LPNs or VTPNs) and their new PPNs, index-aligned.
+        The victim heap is refreshed once for the whole batch.
         """
-        if not self.fast_mode:
-            for offset in offsets:
-                block.invalidate(offset)
-            return
         states = block._states
         meta = block._meta
+        offsets = block.valid_offsets()
+        if not offsets:
+            return [], []
+        metas = [meta[offset] for offset in offsets]
+        new_ppns = self.program_batch(kind, metas)
         for offset in offsets:
-            if states[offset] is not PageState.VALID:
-                raise FlashError(
-                    f"batch invalidate of {states[offset].name} page "
-                    f"{offset} in block {block.block_id}")
             states[offset] = PageState.INVALID
             meta[offset] = None
-        count = len(offsets)
-        block.valid_count -= count
-        block.invalid_count += count
-        if count:
-            heapq.heappush(self.victim_heap,
-                           (-block.invalid_count, block.erase_count,
-                            block.block_id))
-
-    # ------------------------------------------------------------------
-    # Operations
-    # ------------------------------------------------------------------
-    def program(self, kind: PageKind, meta: int) -> int:
-        """Program one page of the given kind; returns its PPN.
-
-        ``meta`` is the logical identity of the content (LPN for data
-        pages, VTPN for translation pages), recorded so GC can find the
-        owner of every valid page.  An injected program failure marks
-        the target page bad and retries on the next programmable page
-        (allocating a fresh frontier block if needed), as a real
-        controller's write path does.
-        """
-        if self.fast_mode:
-            # No injector, no bad pages: the write pointer always sits
-            # on a FREE page, so the state transition is unconditional.
-            # The frontier comes off the plain-attribute mirrors — no
-            # enum-keyed dict lookups on this per-page path.
-            if kind is PageKind.DATA:
-                block = self._active_data
-                if (block is None
-                        or block._write_ptr >= self.pages_per_block):
-                    block = self._allocate(BlockKind.DATA)
-                self._fold_data_writes += 1
-            else:
-                block = self._active_trans
-                if (block is None
-                        or block._write_ptr >= self.pages_per_block):
-                    block = self._allocate(BlockKind.TRANSLATION)
-                self._fold_trans_writes += 1
-            seq = self.op_seq + 1
-            self.op_seq = seq
-            offset = block._write_ptr
-            block._states[offset] = PageState.VALID
-            block._meta[offset] = meta
-            block._write_ptr = offset + 1
-            block.valid_count += 1
-            block.last_program_seq = seq
-            return block.block_id * self.pages_per_block + offset
-        region = _REGION_OF[kind]
-        while True:
-            block = self._active[region]
-            if block is None or block.is_full:
-                block = self._allocate(region)
-            self.injector.on_operation()
-            self.op_seq += 1
-            if self.injector.program_fails():
-                block.mark_bad()
-                self.stats.record_program_failure()
-                self._check_spares()
-                continue
-            offset = block.program(meta, self.op_seq)
-            self.stats.record_write(kind)
-            return self.ppn_of(block.block_id, offset)
+        moved = len(offsets)
+        self._count(kind, moved, 0)
+        block.valid_count -= moved
+        block.invalid_count += moved
+        heapq.heappush(self.victim_heap,
+                       (-block.invalid_count, block.erase_count,
+                        block.block_id))
+        return metas, new_ppns
 
     def allocate_block(self, region: BlockKind) -> Block:
         """Take a free block for dedicated use (not the region frontier).
@@ -424,94 +308,230 @@ class FlashMemory:
         return block
 
     def program_into(self, block: Block, kind: PageKind, meta: int) -> int:
-        """Program the next page of a specific block; returns its PPN.
-
-        A program failure marks the page bad and retries within the same
-        block; callers that need full, contiguous blocks (block-mapped
-        FTLs) must not enable program-fault injection.
-        """
-        while True:
-            self.injector.on_operation()
-            self.op_seq += 1
-            if self.injector.program_fails():
-                block.mark_bad()
-                self.stats.record_program_failure()
-                self._check_spares()
-                continue
-            offset = block.program(meta, self.op_seq)
-            self.stats.record_write(kind)
-            return self.ppn_of(block.block_id, offset)
+        """Program the next page of a specific block; returns its PPN."""
+        self.op_seq += 1
+        offset = block.program(meta, self.op_seq)
+        self._count(kind, 0, 1)
+        return self.ppn_of(block.block_id, offset)
 
     def read(self, ppn: int, kind: PageKind) -> int:
         """Read a page; returns its metadata (LPN/VTPN).
 
         Reading a non-valid page is a simulator bug and raises.
-        Transient (injected) read errors are retried with exponential
-        backoff up to the plan's retry budget; each retry is itself a
-        flash operation.  Exhausting the budget raises
-        :class:`~repro.errors.ReadError`.
         """
-        if self.fast_mode:
-            block = self.blocks[ppn // self.pages_per_block]
-            offset = ppn % self.pages_per_block
-            if block._states[offset] is not PageState.VALID:
-                raise FlashError(
-                    f"read of {block._states[offset].name} page at "
-                    f"PPN {ppn}")
-            if kind is PageKind.DATA:
-                self._fold_data_reads += 1
-            else:
-                self._fold_trans_reads += 1
-            # valid pages always carry metadata (the reference path's
-            # SimInvariantError guard is vacuous and skipped here)
-            return block._meta[offset]
+        block = self.blocks[ppn // self.pages_per_block]
+        offset = ppn % self.pages_per_block
+        if block._states[offset] is not PageState.VALID:
+            raise FlashError(
+                f"read of {block._states[offset].name} page at PPN {ppn}")
+        if kind is PageKind.DATA:
+            self.stats.data_reads += 1
+        else:
+            self.stats.translation_reads += 1
+        return block._meta[offset]
+
+    def invalidate(self, ppn: int) -> None:
+        """Invalidate the page at ``ppn`` (its content was superseded)."""
+        block = self.blocks[ppn // self.pages_per_block]
+        offset = ppn % self.pages_per_block
+        # Block.invalidate inlined (same check, same transition): this
+        # plus the heap push runs once per superseded page.
+        states = block._states
+        if states[offset] is not PageState.VALID:
+            raise ProgramError(
+                f"page {offset} of block {block.block_id} is "
+                f"{states[offset].name}, cannot invalidate")
+        states[offset] = PageState.INVALID
+        block._meta[offset] = None
+        block.valid_count -= 1
+        invalid = block.invalid_count + 1
+        block.invalid_count = invalid
+        heapq.heappush(self.victim_heap,
+                       (-invalid, block.erase_count, block.block_id))
+
+    def erase(self, block_id: int) -> bool:
+        """Erase a block and return it to the free pool (always True)."""
+        block = self._erasable(block_id)
+        # No BAD pages exist, so the whole block returns to FREE and
+        # the per-page skip loop of Block.erase is unnecessary.
+        ppb = self.pages_per_block
+        kind = block.kind
+        block._states = [PageState.FREE] * ppb
+        block._meta = [None] * ppb
+        block._write_ptr = 0
+        block.valid_count = 0
+        block.invalid_count = 0
+        block.erase_count += 1
+        block.kind = BlockKind.FREE
+        self._count_erase(block, kind)
+        self._free.append(block_id)
+        return True
+
+    # ------------------------------------------------------------------
+    # Internals
+    # ------------------------------------------------------------------
+    def _count(self, kind: PageKind, reads: int, writes: int) -> None:
+        """Add page reads and programs of ``kind`` to the counters."""
+        stats = self.stats
+        if kind is PageKind.DATA:
+            stats.data_reads += reads
+            stats.data_writes += writes
+        else:
+            stats.translation_reads += reads
+            stats.translation_writes += writes
+
+    def _count_erase(self, block: Block, kind: BlockKind) -> None:
+        """Count one erase of a ``kind`` block whose count just rose.
+
+        Keeps the erase-count spread exact: histogram plus running max.
+        """
+        if kind is BlockKind.DATA:
+            self.stats.data_erases += 1
+        else:
+            self.stats.translation_erases += 1
+        hist = self._erase_hist
+        new_count = block.erase_count
+        old_count = new_count - 1
+        remaining = hist[old_count] - 1
+        if remaining:
+            hist[old_count] = remaining
+        else:
+            del hist[old_count]
+        hist[new_count] = hist.get(new_count, 0) + 1
+        if new_count > self.max_erase:
+            self.max_erase = new_count
+        while self.min_erase not in hist:
+            self.min_erase += 1
+
+    def _erasable(self, block_id: int) -> Block:
+        """Check that ``block_id`` may be erased; clear its frontier."""
+        block = self.blocks[block_id]
+        if block.is_free:
+            raise FlashError(f"block {block_id} is already free")
+        if block.kind is BlockKind.RETIRED:
+            raise FlashError(f"block {block_id} is retired")
+        if block.valid_count:
+            raise EraseError(
+                f"block {block_id} still has {block.valid_count} "
+                "valid pages")
+        if block is self._active_data:
+            self._active_data = None
+        elif block is self._active_trans:
+            self._active_trans = None
+        return block
+
+    def _allocate(self, region: BlockKind) -> Block:
+        if not self._free:
+            raise OutOfSpaceError(
+                "no free blocks left; GC failed to reclaim space")
+        block = self.blocks[self._free.popleft()]
+        block.kind = region
+        if region is BlockKind.DATA:
+            self._active_data = block
+        else:
+            self._active_trans = block
+        return block
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (f"{type(self).__name__}(blocks={len(self.blocks)}, "
+                f"free={self.free_block_count}, "
+                f"retired={self.retired_block_count})")
+
+
+class FaultyFlashMemory(FlashMemory):
+    """The flash array with every operation consulting the injector.
+
+    Overrides only the operations that can fail or be cut short; the
+    GC helpers run one page at a time so faults and power cuts land on
+    exactly the operation a page-at-a-time controller would issue.
+    """
+
+    def __init__(self, config: SSDConfig,
+                 injector: Optional[FaultInjector] = None) -> None:
+        super().__init__(config)
+        #: fault oracle consulted on every operation.
+        self.injector = (injector if injector is not None
+                         else FaultInjector(config.fault_plan()))
+        #: bad pages in a block at which its next erase retires it.
+        self._bad_retire_pages = max(1, math.ceil(
+            config.pages_per_block
+            * self.injector.plan.bad_page_retire_fraction))
+
+    def program(self, kind: PageKind, meta: int) -> int:
+        """Program one page; a failed attempt marks the page bad and
+        retries on the next programmable page (allocating a fresh
+        frontier block if needed), as a real controller's write path
+        does."""
+        region = (BlockKind.DATA if kind is PageKind.DATA
+                  else BlockKind.TRANSLATION)
+        while True:
+            block = self.active_block(region)
+            if block is None or block.is_full:
+                block = self._allocate(region)
+            offset = self._program_attempt(block, meta)
+            if offset is not None:
+                self._count(kind, 0, 1)
+                return self.ppn_of(block.block_id, offset)
+
+    def program_batch(self, kind: PageKind,
+                      metas: Sequence[int]) -> List[int]:
+        """Program ``metas`` in order, one injector-checked page each."""
+        return [self.program(kind, meta) for meta in metas]
+
+    def migrate(self, block: Block,
+                kind: PageKind) -> Tuple[List[int], List[int]]:
+        """Move valid pages page by page: read, program, invalidate."""
+        metas: List[int] = []
+        new_ppns: List[int] = []
+        for offset in block.valid_offsets():
+            old_ppn = self.ppn_of(block.block_id, offset)
+            meta = self.read(old_ppn, kind)
+            new_ppns.append(self.program(kind, meta))
+            self.invalidate(old_ppn)
+            metas.append(meta)
+        return metas, new_ppns
+
+    def program_into(self, block: Block, kind: PageKind, meta: int) -> int:
+        """Program the next page of ``block``; a program failure marks
+        the page bad and retries within the same block, so callers that
+        need full, contiguous blocks (block-mapped FTLs) must not enable
+        program-fault injection."""
+        while True:
+            offset = self._program_attempt(block, meta)
+            if offset is not None:
+                self._count(kind, 0, 1)
+                return self.ppn_of(block.block_id, offset)
+
+    def read(self, ppn: int, kind: PageKind) -> int:
+        """Read a page, retrying transient (injected) errors.
+
+        Retries back off exponentially up to the plan's retry budget;
+        each retry is itself a flash operation.  Exhausting the budget
+        raises :class:`~repro.errors.ReadError`.
+        """
         block = self.block_of(ppn)
         offset = self.offset_of(ppn)
         if block.state(offset) is not PageState.VALID:
             raise FlashError(
                 f"read of {block.state(offset).name} page at PPN {ppn}")
-        self.injector.on_operation()
+        injector = self.injector
+        stats = self.stats
+        injector.on_operation()
         failures = 0
-        while self.injector.read_attempt_fails():
+        while injector.read_attempt_fails():
             failures += 1
-            if failures > self.injector.plan.max_read_retries:
-                self.stats.record_uncorrectable_read()
+            if failures > injector.plan.max_read_retries:
+                stats.uncorrectable_reads += 1
                 raise ReadError(
                     f"uncorrectable error at PPN {ppn} after "
                     f"{failures} attempts")
-            self.injector.on_operation()
-            self.stats.record_read_retry(
+            injector.on_operation()
+            stats.record_read_retry(
                 backoff_us=self.config.read_us * (2 ** (failures - 1)))
         if failures:
-            self.stats.record_ecc_recovery()
-        self.stats.record_read(kind)
-        meta = block.meta(offset)
-        if meta is None:  # pragma: no cover - valid pages carry metadata
-            raise SimInvariantError(
-                f"valid page at PPN {ppn} has no recorded metadata")
-        return meta
-
-    def invalidate(self, ppn: int) -> None:
-        """Invalidate the page at ``ppn`` (its content was superseded)."""
-        if self.fast_mode:
-            block = self.blocks[ppn // self.pages_per_block]
-            offset = ppn % self.pages_per_block
-            # Block.invalidate inlined (same check, same transition):
-            # this plus the heap push runs once per superseded page.
-            states = block._states
-            if states[offset] is not PageState.VALID:
-                raise ProgramError(
-                    f"page {offset} of block {block.block_id} is "
-                    f"{states[offset].name}, cannot invalidate")
-            states[offset] = PageState.INVALID
-            block._meta[offset] = None
-            block.valid_count -= 1
-            invalid = block.invalid_count + 1
-            block.invalid_count = invalid
-            heapq.heappush(self.victim_heap,
-                           (-invalid, block.erase_count, block.block_id))
-            return
-        self.block_of(ppn).invalidate(self.offset_of(ppn))
+            stats.ecc_recovered_reads += 1
+        self._count(kind, 1, 0)
+        return block._meta[offset]
 
     def erase(self, block_id: int) -> bool:
         """Erase a block; True if it returned to the free pool.
@@ -522,87 +542,38 @@ class FlashMemory:
         past the spare capacity raises
         :class:`~repro.errors.DeviceWornOutError`.
         """
-        block = self.blocks[block_id]
-        if block.is_free:
-            raise FlashError(f"block {block_id} is already free")
-        if block.kind is BlockKind.RETIRED:
-            raise FlashError(f"block {block_id} is retired")
-        if block.valid_count:
-            raise EraseError(
-                f"block {block_id} still has {block.valid_count} "
-                "valid pages")
+        block = self._erasable(block_id)
         kind = block.kind
-        if self._active.get(kind) is block:
-            self._active[kind] = None
-            if kind is BlockKind.DATA:
-                self._active_data = None
-            elif kind is BlockKind.TRANSLATION:
-                self._active_trans = None
-        if self.fast_mode:
-            # No BAD pages exist, so the whole block returns to FREE
-            # and the per-page skip loop of Block.erase is unnecessary.
-            ppb = self.pages_per_block
-            old_count = block.erase_count
-            block._states = [PageState.FREE] * ppb
-            block._meta = [None] * ppb
-            block._write_ptr = 0
-            block.valid_count = 0
-            block.invalid_count = 0
-            block.erase_count = old_count + 1
-            block.kind = BlockKind.FREE
-            if kind is BlockKind.DATA:
-                self._fold_data_erases += 1
-            else:
-                self._fold_trans_erases += 1
-            # keep the erase-count spread exact: histogram + running max
-            hist = self._erase_hist
-            remaining = hist[old_count] - 1
-            if remaining:
-                hist[old_count] = remaining
-            else:
-                del hist[old_count]
-            new_count = old_count + 1
-            hist[new_count] = hist.get(new_count, 0) + 1
-            if new_count > self.max_erase:
-                self.max_erase = new_count
-            while self.min_erase not in hist:
-                self.min_erase += 1
-            self._free.append(block_id)
-            return True
         self.injector.on_operation()
         if self.injector.erase_fails():
-            self.stats.record_erase_failure()
+            self.stats.erase_failures += 1
             self._retire(block)
             return False
         block.erase()
-        self.stats.record_erase(kind)
+        self._count_erase(block, kind)
         if block.bad_count >= self._bad_retire_pages:
             self._retire(block)
             return False
         self._free.append(block_id)
         return True
 
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _allocate(self, region: BlockKind) -> Block:
-        if not self._free:
-            raise OutOfSpaceError(
-                "no free blocks left; GC failed to reclaim space")
-        block = self.blocks[self._free.popleft()]
-        block.kind = region
-        self._active[region] = block
-        if region is BlockKind.DATA:
-            self._active_data = block
-        else:
-            self._active_trans = block
-        return block
+    def _program_attempt(self, block: Block, meta: int) -> Optional[int]:
+        """One program attempt; the offset written, or None if it failed
+        (the target page went bad)."""
+        self.injector.on_operation()
+        self.op_seq += 1
+        if self.injector.program_fails():
+            block.mark_bad()
+            self.stats.program_failures += 1
+            self._check_spares()
+            return None
+        return block.program(meta, self.op_seq)
 
     def _retire(self, block: Block) -> None:
         """Take ``block`` out of service permanently."""
         block.kind = BlockKind.RETIRED
         self.retired_block_ids.append(block.block_id)
-        self.stats.record_block_retired()
+        self.stats.retired_blocks += 1
         self._check_spares()
 
     def _check_spares(self) -> None:
@@ -612,8 +583,3 @@ class FlashMemory:
                 f"{self.bad_page_count} pages grown bad, but the device "
                 f"has only {self.config.spare_blocks} spare blocks; the "
                 "remaining capacity cannot hold the logical space")
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"FlashMemory(blocks={len(self.blocks)}, "
-                f"free={self.free_block_count}, "
-                f"retired={self.retired_block_count})")

@@ -99,10 +99,12 @@ class ZFTL(BaseFTL):
             self.metrics.hits += 1
             return self.zone_dirty.get(lpn, self.flash_table[lpn])
         if lpn in self.tier1:
-            # buffered out-of-zone update: resident mapping info
+            # buffered out-of-zone update: resident mapping info (read
+            # first: a switch into this zone moves the entry out of tier1)
+            ppn = self.tier1[lpn]
             self._note_stray(zone, result)
             self.metrics.hits += 1
-            return self.tier1[lpn]
+            return ppn
         self._note_stray(zone, result)
         if zone == self.active_zone:
             # _note_stray switched to this zone; everything is resident
@@ -133,6 +135,9 @@ class ZFTL(BaseFTL):
             self.read_translation_page(vtpn, "load", result)
         self.active_zone = zone
         self.zone_dirty.clear()
+        # the incoming zone's buffered updates are its newest mappings
+        for lpn in [lpn for lpn in self.tier1 if self.zone_of(lpn) == zone]:
+            self.zone_dirty[lpn] = self.tier1.pop(lpn)
         self._stray_streak = 0
         self._stray_zone = None
         self.zone_switches += 1

@@ -1,19 +1,16 @@
 """The device model: an FTL plus FIFO queueing and response times.
 
 :class:`DeviceModel` is the shared timing subsystem (validation, warmup,
-GC accounting, background GC, per-run queue reset); :class:`SSDevice` is
-the paper-faithful single-channel queue and :class:`ChannelSSDevice`
+GC accounting, background GC, per-run queue reset, and the deferred
+timing fold of :meth:`DeviceModel.run`); :class:`SSDevice` is the
+paper-faithful single-channel queue and :class:`ChannelSSDevice`
 (extension) overlaps operations across several flash channels.  Use
 :func:`make_device` to pick a model by channel count.
-:func:`run_fast` replays a trace through the batched execution core —
-same results, several times faster.
 """
 
 from .device import (QOS_POLICIES, DeviceModel, FairShare, RunResult,
                      SSDevice, simulate)
-from .fastpath import run_fast
 from .parallel import ChannelSSDevice, make_device
 
 __all__ = ["DeviceModel", "SSDevice", "ChannelSSDevice", "RunResult",
-           "simulate", "make_device", "run_fast", "FairShare",
-           "QOS_POLICIES"]
+           "simulate", "make_device", "FairShare", "QOS_POLICIES"]

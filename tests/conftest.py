@@ -15,6 +15,8 @@ import pytest
 
 from repro.config import (CacheConfig, SanitizerConfig, SimulationConfig,
                           SSDConfig)
+from repro.flash import FaultyFlashMemory
+from repro.ftl import make_ftl
 from repro.types import Op, Request, Trace
 
 
@@ -68,3 +70,16 @@ def random_ops(count: int, logical_pages: int, seed: int = 0,
         lpn = rng.randrange(logical_pages - npages)
         ops.append((op, lpn, npages))
     return ops
+
+
+def per_op_ftl(name: str, config: SimulationConfig):
+    """An FTL prefilled on the per-operation (fault-injecting) array.
+
+    A no-op fault plan selects the ideal array, which never consults
+    an injector; tests that arm a power cut or patch an injector method
+    after construction need this one instead.
+    """
+    ftl = make_ftl(name, config, prefill=False)
+    ftl.flash = FaultyFlashMemory(config.ssd)
+    ftl.prefill()
+    return ftl

@@ -1,13 +1,15 @@
-"""Fixture: TP302 — ``fold_stats`` after the fast-mode window closed.
+"""Fixture: TP302 — a held-only call after the batch window closed.
 
-The fold only makes sense while fast mode is held (that is when the
-per-op counters are deferred); folding after ``exit_fast_mode`` reads
-a window that no longer exists.  The typestate pass must flag exactly
-the ``fold_stats`` call.
+``fold_batch`` only makes sense while the window is open (the pragma
+below declares it the protocol's ``use`` call); folding after
+``end_batch`` reads a window that no longer exists.  The typestate pass
+must flag exactly the ``fold_batch`` call.
 """
 
+# tp: protocol(name=batch, acquire=begin_batch, release=end_batch, use=fold_batch)
 
-def warmup_fold(flash):
-    flash.enter_fast_mode()
-    flash.exit_fast_mode()
-    flash.fold_stats()
+
+def warmup_fold(sink):
+    sink.begin_batch()
+    sink.end_batch()
+    sink.fold_batch()

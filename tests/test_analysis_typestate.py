@@ -26,6 +26,10 @@ from repro.analysis.flow.typestate import (_always_raises_summary,
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 FLOW_FIXTURES = ROOT / "tests" / "fixtures" / "flow"
+#: a receiver protocol declared in-file, as module authors declare their
+#: own acquire/release pairings (the built-in specs are constructor-based)
+BATCH = ("# tp: protocol(name=batch, acquire=begin_batch, "
+         "release=end_batch, use=fold_batch)\n")
 
 
 def _codes(source):
@@ -246,13 +250,14 @@ def test_functions_without_protocol_calls_build_no_cfg(monkeypatch):
     monkeypatch.setattr(typestate, "build_cfg", counting)
     analyze_source(
         '"""M."""\n'
-        "def plain(x):\n"
+        + BATCH
+        + "def plain(x):\n"
         "    return helper(x) + 1\n"
         "def leaky(path):\n"
         "    handle = open(path)\n"
         "    return handle.read()\n"
         "def windowed(flash):\n"
-        "    flash.enter_fast_mode()\n")
+        "    flash.begin_batch()\n")
     assert built == ["leaky", "windowed"]
 
 
@@ -261,8 +266,9 @@ def test_functions_without_protocol_calls_build_no_cfg(monkeypatch):
 # ----------------------------------------------------------------------
 def test_tp301_leak_on_the_normal_exit():
     source = (
-        "def run(flash, trace):\n"
-        "    flash.enter_fast_mode()\n"
+        BATCH
+        + "def run(flash, trace):\n"
+        "    flash.begin_batch()\n"
         "    flash.serve(trace)\n"
     )
     assert _codes(source) == {"TP301"}
@@ -272,14 +278,15 @@ def test_tp301_leak_on_the_exception_edge_only():
     """The release exists on the normal path; a resolved may-raise
     callee opens an exception path that skips it."""
     source = (
-        "def boom(trace):\n"
+        BATCH
+        + "def boom(trace):\n"
         "    if not trace:\n"
         "        raise ValueError(trace)\n"
         "    return trace\n"
         "def run(flash, trace):\n"
-        "    flash.enter_fast_mode()\n"
+        "    flash.begin_batch()\n"
         "    boom(trace)\n"
-        "    flash.exit_fast_mode()\n"
+        "    flash.end_batch()\n"
     )
     findings = [f for f in analyze_source(source) if f.rule == "TP301"]
     assert len(findings) == 1
@@ -288,16 +295,17 @@ def test_tp301_leak_on_the_exception_edge_only():
 
 def test_tp301_try_finally_guard_is_clean():
     source = (
-        "def boom(trace):\n"
+        BATCH
+        + "def boom(trace):\n"
         "    if not trace:\n"
         "        raise ValueError(trace)\n"
         "    return trace\n"
         "def run(flash, trace):\n"
-        "    flash.enter_fast_mode()\n"
+        "    flash.begin_batch()\n"
         "    try:\n"
         "        boom(trace)\n"
         "    finally:\n"
-        "        flash.exit_fast_mode()\n"
+        "        flash.end_batch()\n"
     )
     assert _codes(source) == set()
 
@@ -306,18 +314,20 @@ def test_tp301_weak_calls_outside_try_stay_quiet():
     """Unknown callees between acquire and release do not fabricate an
     exception path — only resolved may-raise callees do."""
     source = (
-        "def run(flash, trace):\n"
-        "    flash.enter_fast_mode()\n"
+        BATCH
+        + "def run(flash, trace):\n"
+        "    flash.begin_batch()\n"
         "    flash.serve(trace)\n"
-        "    flash.exit_fast_mode()\n"
+        "    flash.end_batch()\n"
     )
     assert _codes(source) == set()
 
 
 def test_tp301_pragma_suppression():
     source = (
-        "def run(flash, trace):\n"
-        "    flash.enter_fast_mode()  # tp: allow=TP301 - caller exits\n"
+        BATCH
+        + "def run(flash, trace):\n"
+        "    flash.begin_batch()  # tp: allow=TP301 - caller exits\n"
         "    flash.serve(trace)\n"
     )
     assert _codes(source) == set()
@@ -328,27 +338,29 @@ def test_tp301_pragma_suppression():
 # ----------------------------------------------------------------------
 def test_tp302_double_release():
     source = (
-        "def run(flash):\n"
-        "    flash.enter_fast_mode()\n"
-        "    flash.exit_fast_mode()\n"
-        "    flash.exit_fast_mode()\n"
+        BATCH
+        + "def run(flash):\n"
+        "    flash.begin_batch()\n"
+        "    flash.end_batch()\n"
+        "    flash.end_batch()\n"
     )
     findings = [f for f in analyze_source(source) if f.rule == "TP302"]
     assert len(findings) == 1
-    assert findings[0].line == 4
+    assert findings[0].line == 5
     assert "double release" in findings[0].message
 
 
 def test_tp302_use_after_release():
     source = (
-        "def run(flash):\n"
-        "    flash.enter_fast_mode()\n"
-        "    flash.exit_fast_mode()\n"
-        "    flash.fold_stats()\n"
+        BATCH
+        + "def run(flash):\n"
+        "    flash.begin_batch()\n"
+        "    flash.end_batch()\n"
+        "    flash.fold_batch()\n"
     )
     findings = [f for f in analyze_source(source) if f.rule == "TP302"]
     assert len(findings) == 1
-    assert findings[0].line == 4
+    assert findings[0].line == 5
 
 
 def test_tp302_interprocedural_release_then_close_again():

@@ -1,13 +1,18 @@
-"""The batched execution core: parity with the reference path.
+"""The execution core against its golden digests.
 
-The fast path's contract is *field-for-field identity*: for any run the
-reference path can execute, :func:`repro.ssd.run_fast` must produce a
-:class:`RunResult` whose JSON encoding — the exact representation the
-run cache persists and digests — is byte-identical.  The tests here
-diff the two paths through that digest layer across the tier-1
-workload x FTL matrix, the multi-channel device model, background GC
-and sanitized runs, plus the regression tests for the accounting and
-sampling bugs fixed alongside the fast path:
+There is one execution core: the ideal :class:`~repro.flash.FlashMemory`
+under :meth:`~repro.ssd.DeviceModel.run` and its deferred timing fold.
+Its contract is that every cell of ``golden_cells`` reproduces the
+digest committed in ``golden_digests.json`` — sha256 of the run cache's
+JSON encoding, so byte-identical metrics, response statistics (Welford
+internals included), sampler series, timings and fault counters.  The
+digests were recorded on the per-operation reference core the batched
+core replaced, and cross-checked against that batched core.
+
+One live cross-check stays: :class:`~repro.flash.FaultyFlashMemory`,
+the per-operation array, must digest-equal the ideal array under a
+no-op fault plan.  Alongside are the regression tests for the
+accounting and sampling bugs fixed with the batched core:
 
 * ``CacheSampler.maybe_sample`` previously fired on every request after
   a multi-page request jumped the access counter past several
@@ -17,220 +22,166 @@ sampling bugs fixed alongside the fast path:
 """
 
 import dataclasses
-import hashlib
-import json
-import random
 
 import pytest
 
-from repro.config import CacheConfig, SimulationConfig, SSDConfig
-from repro.errors import FlashError
-from repro.experiments.common import ExperimentScale
-from repro.experiments.runner import (RunSpec, decode_result,
-                                      encode_result, execute_spec,
-                                      fastpath_enabled)
-from repro.ftl import OptimalFTL, make_ftl
+from repro.config import CacheConfig, SimulationConfig
+from repro.errors import CacheCapacityError
+from repro.experiments.common import simulation_config
+from repro.experiments.runner import (RunSpec, build_spec_trace,
+                                      decode_result, encode_result,
+                                      execute_spec)
+from repro.flash import FaultyFlashMemory, FlashMemory
+from repro.ftl import FTL_NAMES, OptimalFTL, make_ftl
+from repro.gc import GreedyPolicy, WearLeveler
 from repro.metrics import CacheSampler
-from repro.ssd import SSDevice, run_fast
-from repro.types import Op, Request, Trace
+from repro.ssd import SSDevice
 
-from conftest import make_trace, random_ops
+from conftest import make_trace, per_op_ftl, random_ops
+from golden_cells import (DEVICE_CELLS, PARITY_SCALE, SPEC_CELLS,
+                          TIER1_WORKLOADS, bursty_write_trace, digest,
+                          load_golden, tier1_spec, tiny_ssd)
 
-#: CI-sized cells: big enough to cycle GC on every FTL, small enough
-#: that the full parity matrix stays a few seconds per cell
-PARITY_SCALE = ExperimentScale(num_requests=2_500, warmup_requests=500)
-
-TIER1_WORKLOADS = ("financial1", "financial2", "msr-src", "msr-ts")
-FTLS = ("dftl", "tpftl", "optimal")
+GOLDEN = load_golden()
 
 
-def digest(result) -> str:
-    """The parity key: sha256 of the run cache's JSON encoding.
-
-    Byte-identical encodings mean every field the cache can observe —
-    metrics, response statistics (including the Welford internals),
-    sampler series, timings, fault counters — is identical.
-    """
-    payload = json.dumps(encode_result(result), sort_keys=True)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+def replay(name: str):
+    """Run a device-level golden cell and return its result."""
+    device, trace, warmup = DEVICE_CELLS[name]()
+    return device.run(trace, warmup_requests=warmup)
 
 
-def run_both(spec: RunSpec):
-    """Execute one cell through both cores and return the results."""
-    reference = execute_spec(spec, fast=False)
-    fast = execute_spec(spec, fast=True)
-    return reference, fast
+def test_golden_file_covers_every_cell():
+    assert set(GOLDEN) == set(SPEC_CELLS) | set(DEVICE_CELLS)
 
 
 class TestTier1Parity:
-    """Reference and fast paths agree on every tier-1 cell."""
+    """Every tier-1 cell reproduces its golden digest."""
 
     @pytest.mark.parametrize("workload", TIER1_WORKLOADS)
-    @pytest.mark.parametrize("ftl", FTLS)
+    @pytest.mark.parametrize("ftl", FTL_NAMES)
     def test_cell_parity(self, workload, ftl):
-        spec = RunSpec(workload=workload, ftl=ftl, scale=PARITY_SCALE,
-                       sample_interval=400)
-        reference, fast = run_both(spec)
-        assert digest(reference) == digest(fast)
+        label = f"{workload}:{ftl}"
+        assert digest(execute_spec(SPEC_CELLS[label])) == GOLDEN[label]
 
     def test_parity_survives_decode_roundtrip(self):
-        spec = RunSpec(workload="financial2", ftl="dftl",
-                       scale=PARITY_SCALE, sample_interval=400)
-        reference, fast = run_both(spec)
-        decoded = decode_result(encode_result(fast))
-        assert digest(decoded) == digest(reference)
+        result = execute_spec(tier1_spec("financial2", "dftl"))
+        decoded = decode_result(encode_result(result))
+        assert digest(decoded) == GOLDEN["financial2:dftl"]
 
     def test_multichannel_parity(self):
-        spec = RunSpec(workload="financial2", ftl="dftl",
-                       scale=PARITY_SCALE, channels=4)
-        reference, fast = run_both(spec)
-        assert reference.channels == fast.channels == 4
-        assert digest(reference) == digest(fast)
+        for label in ("financial2:dftl:ch=4", "msr-ts:optimal:ch=4"):
+            result = execute_spec(SPEC_CELLS[label])
+            assert result.channels == 4
+            assert digest(result) == GOLDEN[label]
 
-    def test_fastpath_is_the_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FASTPATH", raising=False)
-        assert fastpath_enabled()
-        monkeypatch.setenv("REPRO_FASTPATH", "reference")
-        assert not fastpath_enabled()
-        monkeypatch.setenv("REPRO_FASTPATH", "1")
-        assert fastpath_enabled()
+    def test_fair_traffic_parity(self):
+        label = "mix:dftl:2t:fair"
+        result = execute_spec(SPEC_CELLS[label])
+        assert result.qos == "fair" and len(result.tenants) == 2
+        assert digest(result) == GOLDEN[label]
+
+    def test_cdftl_financial_cells_need_their_cache_fraction(self):
+        """CDFTL's default CTP area cannot hold one Financial
+        translation page at this scale; the golden cells pin it with a
+        fraction that does, rather than dropping the cells."""
+        with pytest.raises(CacheCapacityError):
+            execute_spec(RunSpec(workload="financial1", ftl="cdftl",
+                                 scale=PARITY_SCALE))
 
 
 class TestDeviceLevelParity:
-    """run_fast against DeviceModel.run on hand-built devices."""
+    """Hand-built devices reproduce their golden digests."""
 
-    def _trace(self, count=1_500, seed=11):
-        return make_trace(random_ops(count, 512, seed=seed))
+    def test_warmup_parity(self):
+        assert digest(replay("device:dftl:warmup")) \
+            == GOLDEN["device:dftl:warmup"]
 
-    def test_warmup_parity(self, roomy_config):
-        results = []
-        for fast in (False, True):
-            ftl = make_ftl("dftl", roomy_config)
-            device = SSDevice(ftl, sample_interval=200)
-            runner = run_fast if fast else type(device).run
-            results.append(runner(device, self._trace(),
-                                  warmup_requests=300))
-        assert digest(results[0]) == digest(results[1])
-
-    def test_background_gc_parity(self, tiny_config):
-        trace = bursty_write_trace(bursts=60)
-        results = []
-        for fast in (False, True):
-            device = SSDevice(OptimalFTL(tiny_config),
-                              background_gc=True)
-            runner = run_fast if fast else type(device).run
-            results.append(runner(device, trace))
-        reference, fast = results
-        assert reference.background_collections > 0
-        assert digest(reference) == digest(fast)
+    def test_background_gc_parity(self):
+        for name in ("device:optimal:background-gc",
+                     "device:dftl:background-gc"):
+            result = replay(name)
+            assert result.background_collections > 0
+            assert digest(result) == GOLDEN[name]
 
     def test_fault_plan_falls_back_to_reference(self):
-        ssd = SSDConfig(logical_pages=512, page_size=256,
-                        pages_per_block=8, read_error_rate=0.01)
-        config = SimulationConfig(ssd=ssd)
-        trace = self._trace(count=600)
-        results = []
-        for fast in (False, True):
-            device = SSDevice(OptimalFTL(config))
-            runner = run_fast if fast else type(device).run
-            results.append(runner(device, trace))
-        assert digest(results[0]) == digest(results[1])
-
-    def test_fast_mode_refuses_live_fault_plan(self):
-        ssd = SSDConfig(logical_pages=512, page_size=256,
-                        pages_per_block=8, read_error_rate=0.01)
-        ftl = OptimalFTL(SimulationConfig(ssd=ssd))
-        with pytest.raises(FlashError):
-            ftl.flash.enter_fast_mode()  # tp: allow=TP301 - must raise
+        """A live fault plan runs on the per-operation array and
+        reproduces the digests the reference core recorded."""
+        for name in ("device:optimal:read-faults",
+                     "device:dftl:media-faults"):
+            device, trace, warmup = DEVICE_CELLS[name]()
+            assert type(device.ftl.flash) is FaultyFlashMemory
+            result = device.run(trace, warmup_requests=warmup)
+            assert result.faults["read_retries"] > 0
+            assert digest(result) == GOLDEN[name]
 
     def test_sanitizer_sees_every_op(self, sanitized_config):
         """FTLSan runs in the policy slice: full per-op coverage."""
+        name = "device:tpftl:sanitized"
+        assert digest(replay(name)) == GOLDEN[name]
         ops = random_ops(800, 512, seed=5)
-        trace = make_trace(ops)
         ftl = make_ftl("tpftl", sanitized_config)
-        device = SSDevice(ftl)
-        run_fast(device, trace)
+        SSDevice(ftl).run(make_trace(ops))
         assert ftl.sanitizer is not None
         assert ftl.sanitizer.op_seq == sum(n for _, _, n in ops)
 
-    def test_fast_mode_exits_after_run(self, roomy_config):
-        ftl = make_ftl("dftl", roomy_config)
-        device = SSDevice(ftl)
-        run_fast(device, self._trace(count=200))
-        assert not ftl.flash.fast_mode
-        # the flash is reusable on the reference path afterwards
-        device.run(self._trace(count=50, seed=12))
 
-    def test_fast_mode_contract_survives_mid_run_exception(
-            self, roomy_config, monkeypatch):
-        """The runtime mirror of the TP301 typestate rule: a fault in
-        the serve loop must leave the device exactly as a reference-
-        path fault would — fast mode off, the pending fast-mode
-        counters folded exactly once, and a follow-up reference run
-        digest-identical between the two abort histories."""
-        trace = self._trace(count=400)
-        follow_up = self._trace(count=120, seed=21)
+class TestPerOpCrossCheck:
+    """The per-operation array under a no-op plan digest-equals the
+    ideal array: the batched GC helpers and chunked prefill change
+    nothing observable."""
 
-        def exploding(ftl, after):
-            original, state = type(ftl).serve_request, {"served": 0}
-
-            def serving(request):
-                state["served"] += 1
-                if state["served"] == after:
-                    raise RuntimeError("injected mid-run fault")
-                return original(ftl, request)
-            return serving
-
-        digests = []
-        for fast in (False, True):
-            ftl = make_ftl("dftl", roomy_config)
-            device = SSDevice(ftl)
-            monkeypatch.setattr(ftl, "serve_request",
-                                exploding(ftl, after=151))
-            folds = {"n": 0}
-            original_fold = ftl.flash.fold_stats
-
-            def counting_fold(original_fold=original_fold,
-                              folds=folds):
-                folds["n"] += 1
-                original_fold()
-            monkeypatch.setattr(ftl.flash, "fold_stats", counting_fold)
-            runner = run_fast if fast else type(device).run
-            with pytest.raises(RuntimeError, match="injected"):
-                runner(device, trace)
-            assert not ftl.flash.fast_mode
-            # the finally-block exit folds the batched counters once;
-            # the reference path has nothing pending to fold
-            assert folds["n"] == (1 if fast else 0)
-            digests.append(digest(device.run(follow_up)))
-        assert digests[0] == digests[1]
+    @pytest.mark.parametrize("workload, ftl", [
+        ("financial1", "dftl"), ("msr-ts", "tpftl"),
+        ("financial2", "hybrid")])
+    def test_tier1_cell(self, workload, ftl):
+        spec = tier1_spec(workload, ftl)
+        trace = build_spec_trace(spec)
+        config = simulation_config(trace)
+        results = []
+        for ideal in (True, False):
+            engine = (make_ftl(ftl, config) if ideal
+                      else per_op_ftl(ftl, config))
+            assert (type(engine.flash) is FlashMemory) == ideal
+            results.append(SSDevice(engine, sample_interval=400).run(
+                trace, warmup_requests=PARITY_SCALE.warmup_requests))
+        assert digest(results[0]) == digest(results[1])
+        assert digest(results[0]) == GOLDEN[f"{workload}:{ftl}"]
 
 
-def bursty_write_trace(pages=512, bursts=40, burst_len=20,
-                       gap_us=50_000.0, seed=3) -> Trace:
-    """Write bursts separated by idle gaps (drives background GC)."""
-    rng = random.Random(seed)
-    requests = []
-    clock = 0.0
-    for _ in range(bursts):
-        for _ in range(burst_len):
-            clock += 50.0
-            requests.append(Request(arrival=clock, op=Op.WRITE,
-                                    lpn=rng.randrange(pages), npages=1))
-        clock += gap_us
-    return Trace(requests=requests, logical_pages=pages)
+class TestEraseSpread:
+    """The running erase-count spread the wear-leveling prefilter reads
+    is exact on both arrays, so skipping the nominate scan when the
+    spread is under the threshold never skips a nomination."""
+
+    @pytest.mark.parametrize("faults", ({}, {"erase_fail_rate": 0.004,
+                                             "program_fail_rate": 0.001}))
+    def test_running_spread_is_exact(self, faults):
+        config = SimulationConfig(ssd=tiny_ssd(fault_seed=3, **faults))
+        leveler = WearLeveler(threshold=2)
+        ftl = make_ftl("optimal", config, wear_leveler=leveler)
+        flash = ftl.flash
+        for op, lpn, npages in random_ops(300, 512, seed=9,
+                                          write_ratio=0.9):
+            for page in range(lpn, lpn + npages):
+                ftl.write_page(page)
+                counts = [block.erase_count for block in flash.blocks]
+                assert flash.max_erase == max(counts)
+                assert flash.min_erase == min(counts)
+        assert leveler.forced_collections > 0
+        assert bool(faults) == (type(flash) is FaultyFlashMemory)
 
 
 class TestGCTimeFractionInvariant:
     """Regression: background GC used to push the fraction past 1."""
 
-    @pytest.mark.parametrize("fast", (False, True))
+    @pytest.mark.parametrize("per_op", (False, True))
     def test_fraction_bounded_with_background_gc(self, tiny_config,
-                                                 fast):
-        device = SSDevice(OptimalFTL(tiny_config), background_gc=True)
-        trace = bursty_write_trace(bursts=80)
-        runner = run_fast if fast else type(device).run
-        result = runner(device, trace)
+                                                 per_op):
+        ftl = (per_op_ftl("optimal", tiny_config) if per_op
+               else OptimalFTL(tiny_config))
+        device = SSDevice(ftl, background_gc=True)
+        result = device.run(bursty_write_trace(bursts=80))
         # the setup reproduces the bug: plenty of background GC time
         # relative to request service time
         assert result.background_gc_time_us > 0.0
@@ -287,24 +238,43 @@ class TestSamplerCatchUp:
 
 
 class TestVictimHeapEquivalence:
-    """Fast-mode GC picks the same victims as the reference scan."""
+    """The flash array's victim heap picks what a greedy scan picks."""
 
     def test_greedy_selection_matches(self, tiny_config):
+        config = dataclasses.replace(
+            tiny_config, cache=CacheConfig(budget_bytes=1024))
+        ftl = make_ftl("dftl", config)
+        policy = GreedyPolicy()
+        checked = 0
+        select = ftl._select_victim
+
+        def checked_select():
+            nonlocal checked
+            expected = policy.select(ftl._gc_candidates(),
+                                     now_seq=ftl.flash.op_seq)
+            victim = select()
+            assert victim is expected
+            checked += 1
+            return victim
+
+        ftl._select_victim = checked_select
         ops = random_ops(2_000, 512, seed=21, write_ratio=0.9)
-        trace = make_trace(ops)
-        results = []
-        for fast in (False, True):
-            ftl = make_ftl("dftl", dataclasses.replace(
-                tiny_config, cache=CacheConfig(budget_bytes=1024)))
-            device = SSDevice(ftl)
-            runner = run_fast if fast else type(device).run
-            results.append((runner(device, trace), ftl))
-        (ref_result, ref_ftl), (fast_result, fast_ftl) = results
-        assert ref_result.metrics.gc_data_collections > 0
-        assert digest(ref_result) == digest(fast_result)
-        # physical end state matches block for block
-        for ref_block, fast_block in zip(ref_ftl.flash.blocks,
-                                         fast_ftl.flash.blocks):
-            assert ref_block.erase_count == fast_block.erase_count
-            assert ref_block.valid_count == fast_block.valid_count
-            assert ref_block.invalid_count == fast_block.invalid_count
+        result = SSDevice(ftl).run(make_trace(ops))
+        assert result.metrics.gc_data_collections > 0
+        assert checked >= result.metrics.gc_data_collections
+        name = "device:dftl:greedy-gc"
+        assert digest(result) == GOLDEN[name]
+
+    def test_greedy_selection_matches_under_faults(self):
+        """Bad pages and retired blocks leave the heap exact."""
+        config = SimulationConfig(ssd=tiny_ssd(
+            read_error_rate=0.01, program_fail_rate=0.002,
+            erase_fail_rate=0.01, fault_seed=17))
+        ftl = make_ftl("optimal", config)
+        policy = GreedyPolicy()
+        for op, lpn, npages in random_ops(600, 512, seed=4):
+            for page in range(lpn, lpn + npages):
+                expected = policy.select(ftl._gc_candidates())
+                assert ftl._select_victim() is expected
+                ftl.write_page(page)
+        assert ftl.flash.retired_block_count > 0

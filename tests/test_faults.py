@@ -9,7 +9,7 @@ from repro.config import SimulationConfig, SSDConfig
 from repro.errors import (ConfigError, DeviceWornOutError, FlashError,
                           PowerLossError, ProgramError, ReadError)
 from repro.faults import FaultInjector, FaultPlan
-from repro.flash import FlashMemory
+from repro.flash import FaultyFlashMemory, FlashMemory
 from repro.ftl import make_ftl
 from repro.recovery import verify_recovery
 from repro.types import BlockKind, PageKind, PageState
@@ -110,7 +110,7 @@ class TestReadFaults:
 class TestProgramFaults:
     def test_failed_program_marks_page_bad_and_retries(self):
         ssd = faulty_ssd()
-        flash = FlashMemory(ssd)
+        flash = FaultyFlashMemory(ssd)
         # fail exactly the first attempt
         flash.injector.program_fails = iter([True, False]).__next__
         ppn = flash.program(PageKind.DATA, meta=0)
@@ -123,7 +123,7 @@ class TestProgramFaults:
 
     def test_bad_pages_survive_erase(self):
         ssd = faulty_ssd()
-        flash = FlashMemory(ssd)
+        flash = FaultyFlashMemory(ssd)
         # exhaust the block: 1 bad + 7 programmed
         flash.injector.program_fails = (
             lambda it=iter([True] + [False] * 7): next(it))
@@ -137,7 +137,7 @@ class TestProgramFaults:
 
     def test_write_pointer_skips_bad_pages_after_erase(self):
         ssd = faulty_ssd()
-        flash = FlashMemory(ssd)
+        flash = FaultyFlashMemory(ssd)
         flash.injector.program_fails = (
             lambda it=iter([True] + [False] * 100): next(it))
         first = flash.program(PageKind.DATA, meta=0)
@@ -165,7 +165,7 @@ class TestEraseFaultsAndRetirement:
         return flash.block_of(ppns[0])
 
     def test_erase_failure_retires_the_block(self, tiny_ssd):
-        flash = FlashMemory(tiny_ssd)
+        flash = FaultyFlashMemory(tiny_ssd)
         block = self._full_invalid_block(flash)
         flash.injector.erase_fails = lambda: True
         assert flash.erase(block.block_id) is False
@@ -177,7 +177,7 @@ class TestEraseFaultsAndRetirement:
         assert block.block_id not in flash._free
 
     def test_retired_block_rejects_further_erases(self, tiny_ssd):
-        flash = FlashMemory(tiny_ssd)
+        flash = FaultyFlashMemory(tiny_ssd)
         block = self._full_invalid_block(flash)
         flash.injector.erase_fails = lambda: True
         flash.erase(block.block_id)
@@ -186,7 +186,7 @@ class TestEraseFaultsAndRetirement:
             flash.erase(block.block_id)
 
     def test_bad_page_threshold_retires_on_erase(self, tiny_ssd):
-        flash = FlashMemory(tiny_ssd)
+        flash = FaultyFlashMemory(tiny_ssd)
         # 4 of 8 pages bad = the default 0.5 retirement threshold
         fails = iter([True] * 4 + [False] * 100)
         flash.injector.program_fails = lambda: next(fails)
@@ -199,7 +199,7 @@ class TestEraseFaultsAndRetirement:
         assert block.kind is BlockKind.RETIRED
 
     def test_spare_exhaustion_raises_worn_out(self, tiny_ssd):
-        flash = FlashMemory(tiny_ssd)
+        flash = FaultyFlashMemory(tiny_ssd)
         flash.injector.erase_fails = lambda: True
         spares = tiny_ssd.spare_blocks
         assert spares > 0
@@ -292,7 +292,7 @@ class TestDeviceWiring:
 
 class TestPowerCutArming:
     def test_cut_fires_at_the_armed_operation(self, tiny_ssd):
-        flash = FlashMemory(tiny_ssd)
+        flash = FaultyFlashMemory(tiny_ssd)
         flash.injector.arm_power_loss(3)
         for i in range(3):
             flash.program(PageKind.DATA, meta=i)
@@ -301,7 +301,7 @@ class TestPowerCutArming:
         assert flash.injector.power_cuts == 1
 
     def test_disarm_restores_service(self, tiny_ssd):
-        flash = FlashMemory(tiny_ssd)
+        flash = FaultyFlashMemory(tiny_ssd)
         flash.injector.arm_power_loss(0)
         with pytest.raises(PowerLossError):
             flash.program(PageKind.DATA, meta=0)
@@ -310,7 +310,7 @@ class TestPowerCutArming:
         flash.program(PageKind.DATA, meta=0)
 
     def test_cut_preserves_completed_state(self, tiny_ssd):
-        flash = FlashMemory(tiny_ssd)
+        flash = FaultyFlashMemory(tiny_ssd)
         flash.injector.arm_power_loss(2)
         a = flash.program(PageKind.DATA, meta=1)
         b = flash.program(PageKind.DATA, meta=2)

@@ -5,8 +5,11 @@ import random
 import pytest
 
 from repro.config import CacheConfig, SimulationConfig, SSDConfig
-from repro.ftl import ZFTL
+from repro.experiments.common import ExperimentScale, simulation_config
+from repro.experiments.runner import RunSpec, build_spec_trace
+from repro.ftl import ZFTL, make_ftl
 from repro.recovery import verify_recovery
+from repro.ssd import simulate
 
 
 def make_zftl(budget: int = 600, switch_threshold: int = 4,
@@ -117,8 +120,62 @@ class TestFirstTier:
         ftl.read_page(far)
         assert ftl.metrics.hits == hits + 1
 
+    def _far_zone_lpns(self, ftl):
+        """Two LPNs of one zone other than the active zone 0."""
+        span = ftl.zone_tpages * ftl.geometry.entries_per_page
+        if span * 2 > 512:
+            pytest.skip("zone covers the whole device at this budget")
+        return span, span + 1
+
+    def test_switch_absorbs_the_incoming_zones_tier1_entries(self):
+        """Regression: a switch into a zone left its buffered updates in
+        tier1 while translation served the stale on-flash mapping."""
+        ftl = make_zftl(switch_threshold=4)
+        ftl.read_page(0)
+        far, neighbour = self._far_zone_lpns(ftl)
+        ftl.write_page(far)
+        newest = ftl.tier1[far]
+        while ftl.active_zone != ftl.zone_of(far):
+            ftl.read_page(neighbour)
+        assert far not in ftl.tier1
+        assert ftl.zone_dirty[far] == newest
+        assert ftl.lookup_current(far) == newest
+        ftl.read_page(far)
+        ftl.check_consistency()
+
+    def test_tier1_hit_that_switches_zones_serves_the_newest_ppn(self):
+        """The access that triggers the switch is itself a tier1 hit:
+        its PPN is read before the switch moves the entry."""
+        ftl = make_zftl(switch_threshold=4)
+        ftl.read_page(0)
+        far, neighbour = self._far_zone_lpns(ftl)
+        ftl.write_page(far)
+        newest = ftl.tier1[far]
+        # the write was the first stray access of the streak
+        for _ in range(ftl.switch_threshold - 2):
+            ftl.read_page(neighbour)
+        assert ftl.active_zone == 0
+        reads = ftl.flash.stats.data_reads
+        ftl.read_page(far)  # the switching access
+        assert ftl.active_zone == ftl.zone_of(far)
+        assert ftl.flash.stats.data_reads == reads + 1
+        assert ftl.lookup_current(far) == newest
+        ftl.check_consistency()
+
 
 class TestEndToEnd:
+    def test_msr_trace_at_parity_scale_stays_consistent(self):
+        """Regression: msr-ts and msr-src at 2,500 requests crashed
+        invalidating an already-invalid page (stale zone mapping)."""
+        scale = ExperimentScale(num_requests=2_500, warmup_requests=500)
+        for workload in ("msr-ts", "msr-src"):
+            trace = build_spec_trace(RunSpec(workload=workload,
+                                             ftl="zftl", scale=scale))
+            ftl = make_ftl("zftl", simulation_config(trace))
+            result = simulate(ftl, trace, warmup_requests=500)
+            assert result.requests == 2_000
+            ftl.check_consistency()
+
     def test_consistency_and_recovery_after_stress(self):
         ftl = make_zftl(switch_threshold=4)
         rng = random.Random(19)

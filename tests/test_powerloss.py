@@ -8,6 +8,7 @@ from repro.faults import powerloss
 from repro.ftl import make_ftl
 from repro.types import Op, PageKind
 
+from conftest import per_op_ftl
 from test_integration import ALL_FTLS, config_for
 
 #: FTLs whose block-granular layout forbids TRIM
@@ -127,7 +128,7 @@ class TestHelpers:
 class TestInjectorContract:
     def test_power_loss_error_raised_mid_gc_is_clean(self, tiny_config):
         """A cut landing inside GC must still leave scannable flash."""
-        ftl = make_ftl("dftl", tiny_config)
+        ftl = per_op_ftl("dftl", tiny_config)
         ftl.flash.injector.arm_power_loss(0)
         with pytest.raises(PowerLossError):
             ftl.write_page(0)

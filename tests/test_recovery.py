@@ -9,6 +9,7 @@ from repro.ftl import make_ftl
 from repro.recovery import (recover, recovery_report, scan_flash,
                             verify_recovery)
 
+from conftest import per_op_ftl
 from test_integration import ALL_FTLS, config_for
 
 
@@ -70,7 +71,7 @@ class TestScan:
     def test_retired_blocks_are_skipped(self, tiny_config):
         """A retired block's leftover page states must not pollute the
         scan (its live data was migrated before retirement)."""
-        ftl = make_ftl("dftl", tiny_config)
+        ftl = per_op_ftl("dftl", tiny_config)
         stress(ftl, steps=200, seed=9)
         # force-retire exactly one GC victim: its erase "fails"
         fails = iter([True])

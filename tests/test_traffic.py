@@ -3,8 +3,8 @@
 Covers the composition layer (arrival models, namespace slicing, merge
 determinism), tenant threading through the device models (per-tenant
 response statistics, fair-share lanes, single-tenant degeneration to
-the paper's FIFO arithmetic bit-for-bit), fast-path parity on traffic
-workloads, the runner's digest-neutral spec extension, and the
+the paper's FIFO arithmetic bit-for-bit), ideal-vs-per-op-array parity
+on traffic workloads, the runner's digest-neutral spec extension, and the
 ``traffic`` registry experiment.
 """
 
@@ -24,7 +24,7 @@ from repro.experiments.common import clear_matrix_cache
 from repro.experiments.runner import (RunSpec, decode_result,
                                       encode_result, execute_spec)
 from repro.ftl import make_ftl
-from repro.ssd import ChannelSSDevice, SSDevice, run_fast, simulate
+from repro.ssd import ChannelSSDevice, SSDevice, simulate
 from repro.types import Op, Request, Trace
 from repro.workloads import (ARRIVAL_KINDS, ArrivalModel, TenantSpec,
                              TrafficSpec, compose, uniform_mix)
@@ -182,10 +182,10 @@ class TestCompose:
 
 
 class TestDeviceTenancy:
-    def _run(self, trace, qos="fifo", weights=None, fast=False,
-             channels=1, keep_samples=False):
+    def _run(self, trace, qos="fifo", weights=None, channels=1,
+             keep_samples=False):
         ftl = make_ftl("dftl", sim_config(trace))
-        return simulate(ftl, trace, fast=fast, channels=channels,
+        return simulate(ftl, trace, channels=channels,
                         qos=qos, tenant_weights=weights,
                         keep_response_samples=keep_samples)
 
@@ -274,8 +274,6 @@ class TestDeviceTenancy:
         device = SSDevice(make_ftl("dftl", tiny_config))
         with pytest.raises(WorkloadError, match="non-decreasing"):
             device.run(trace)
-        with pytest.raises(WorkloadError, match="non-decreasing"):
-            run_fast(SSDevice(make_ftl("dftl", tiny_config)), trace)
 
     def test_channel_parallel_service_stripes_from_cursor_zero(
             self, tiny_config):
@@ -292,21 +290,28 @@ class TestDeviceTenancy:
 
 
 class TestFastpathTrafficParity:
+    """Traffic replays digest-equal between the ideal flash array and
+    the per-operation one (:class:`~repro.flash.FaultyFlashMemory`
+    under a no-op plan)."""
+
     def _parity(self, qos, channels=1, weights=None, tenants=3):
+        from conftest import per_op_ftl
         spec = tiny_mix(tenants=tenants, requests=200,
                         interarrival=250.0, weights=weights)
         trace = compose(spec)
         results = []
-        for fast in (False, True):
-            ftl = make_ftl("dftl", sim_config(trace))
+        for ideal in (True, False):
+            config = sim_config(trace)
+            ftl = (make_ftl("dftl", config) if ideal
+                   else per_op_ftl("dftl", config))
             results.append(simulate(
-                ftl, trace, fast=fast, channels=channels, qos=qos,
+                ftl, trace, channels=channels, qos=qos,
                 tenant_weights=(spec.weights() if qos == "fair"
                                 else None),
                 keep_response_samples=True))
-        reference, fast_result = results
-        assert reference.tenants and fast_result.tenants
-        assert digest(reference) == digest(fast_result)
+        ideal_result, per_op_result = results
+        assert ideal_result.tenants and per_op_result.tenants
+        assert digest(ideal_result) == digest(per_op_result)
 
     def test_fifo_multi_tenant_parity(self):
         self._parity("fifo")
